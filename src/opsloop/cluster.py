@@ -4,21 +4,36 @@ The simulated fleet is a small rack/node/pod/service topology. Each tick
 every live node, pod, and service emits the six standard metrics at its
 baseline plus uniform +/-2% sampling noise; active faults add deterministic
 offsets to the entities in their blast set and may emit discrete events.
-All randomness comes from numpy Generators keyed on (seed, stream, tick),
-so two simulators built from the same topology and seed produce identical
-streams sample for sample.
+
+A tick is one `TickFrame`: a float64 array with a row per emitting entity
+(in the static order of `ClusterTopology.emitting_entities`) and a column
+per metric in `METRICS`, plus a mask of the rows still live. The whole
+frame is computed with array operations; `TelemetrySample` objects are
+built only when a caller iterates the frame (the wire format, demos and
+tests do). All randomness comes from numpy Generators keyed on
+(seed, stream, tick), so two simulators built from the same topology and
+seed produce identical streams sample for sample.
 """
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BASELINES, HEADROOM, METRICS, NOISE_PCT, REMEDY, ActionKind, FaultKind
 
 SIM_STREAM = 0
+
+# Per-column constants of a frame: the metric baselines, and the clamp
+# ceilings (ratio metrics stop at 1, the others are unbounded above).
+_BASE = np.array([BASELINES[m] for m in METRICS])
+_CEILING = np.array([
+    1.0 if m in ("cpu_util", "mem_util", "disk_io", "packet_loss_rate") else np.inf
+    for m in METRICS
+])
 
 
 class SimError(Exception):
@@ -47,6 +62,49 @@ class TelemetrySample:
     entity: str
     metric: str
     value: float
+
+
+@dataclass(frozen=True, eq=False)
+class TickFrame:
+    """One tick of telemetry for the whole fleet.
+
+    `values[i, j]` is metric `METRICS[j]` of entity `entities[i]`, and
+    `rows` maps an entity to its row. Rows never move; `live[i]` is False
+    once entity i is removed, and the values of such a row mean nothing.
+    Iterating yields the live samples, entity by entity and metric by
+    metric, as `TelemetrySample`s; `len()` counts them.
+    """
+
+    tick: int
+    entities: tuple[str, ...]
+    rows: Mapping[str, int]
+    values: np.ndarray  # float64, (len(entities), len(METRICS))
+    live: np.ndarray  # bool, (len(entities),)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.live)) * len(METRICS)
+
+    def __iter__(self) -> Iterator[TelemetrySample]:
+        for i in np.flatnonzero(self.live).tolist():
+            entity = self.entities[i]
+            for metric, value in zip(METRICS, self.values[i].tolist()):
+                yield TelemetrySample(self.tick, entity, metric, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TickFrame):
+            return NotImplemented
+        return (
+            self.tick == other.tick
+            and self.entities == other.entities
+            and np.array_equal(self.live, other.live)
+            and np.array_equal(self.values[self.live], other.values[other.live])
+        )
+
+    def live_values(self, metric: str, entities: Iterable[str]) -> list[float]:
+        """`metric` of each live entity among `entities`."""
+        j = METRICS.index(metric)
+        rows = (self.rows.get(e) for e in entities)
+        return [float(self.values[i, j]) for i in rows if i is not None and self.live[i]]
 
 
 @dataclass(frozen=True)
@@ -232,11 +290,13 @@ _FAULT_TARGET_CLASS = {
 @dataclass
 class _ActiveFault:
     scenario: FaultScenario
+    # Flat (row-major) frame indices of the cells the fault offsets, each
+    # cell once, and the offset of each; fixed at injection time.
+    cells: np.ndarray
+    deltas: np.ndarray
+    event_emitters: tuple[str, ...] = ()
     cleared_at: int | None = None
     decommission_done: bool = False
-    # entity -> metric -> offset, fixed at injection time
-    offsets: dict[str, dict[str, float]] = field(default_factory=dict)
-    event_emitters: tuple[str, ...] = ()
 
     def contributes_at(self, tick: int) -> bool:
         scen = self.scenario
@@ -262,6 +322,8 @@ class ClusterSim:
         # Noise is drawn over the full static entity list every tick so that
         # removing an entity never shifts another entity's stream.
         self._noise_order = topology.emitting_entities()
+        self._row = {e: i for i, e in enumerate(self._noise_order)}
+        self._live = np.ones(len(self._noise_order), dtype=bool)
         self._all_entities = set(self._noise_order) | set(topology.switches) | set(topology.racks)
 
     @property
@@ -298,43 +360,31 @@ class ClusterSim:
                 raise ScenarioError(f"{kind.value} needs a positive duration")
             if not 0.0 < scenario.magnitude <= 1.0:
                 raise ScenarioError("fault magnitude must be in (0, 1]")
-        fault = _ActiveFault(scenario=scenario)
-        fault.offsets, fault.event_emitters = self._blast(scenario)
-        self._faults.append(fault)
+        self._faults.append(_ActiveFault(scenario, *self._blast(scenario)))
 
-    def _blast(self, scen: FaultScenario) -> tuple[dict[str, dict[str, float]], tuple[str, ...]]:
-        """Resolve the scenario's blast set into per-entity metric offsets."""
+    def _blast(self, scen: FaultScenario) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Resolve the scenario's blast set into frame cells, the offset of
+        each cell, and the entities that emit the fault's events."""
         kind = FaultKind(scen.kind)
-        mag = scen.magnitude
-        offsets: dict[str, dict[str, float]] = {}
-
-        def add(entity: str, metric: str) -> None:
-            offsets.setdefault(entity, {})[metric] = (
-                offsets.get(entity, {}).get(metric, 0.0) + mag * HEADROOM[metric]
-            )
-
+        topo = self.topology
+        emitters: tuple[str, ...] = ()
         if kind is FaultKind.DNS_ERROR_BURST:
-            for svc in self.topology.callers_of(scen.target):
-                add(svc, "net_latency_ms")
-            return offsets, (scen.target,)
-        if kind is FaultKind.TOR_PACKET_LOSS:
-            for pod in self.topology.pods_behind_switch(scen.target):
-                add(pod, "packet_loss_rate")
-                add(pod, "net_latency_ms")
-            return offsets, ()
-        if kind is FaultKind.INGRESS_THROTTLE:
-            add(scen.target, "net_latency_ms")
-            return offsets, ()
-        if kind is FaultKind.NOISY_NEIGHBOR:
-            for pod in self.topology.pods_on_node(scen.target):
-                add(pod, "cpu_util")
-                add(pod, "disk_io")
-            return offsets, ()
-        return {}, ()  # node_decommission: events only
+            hit, metrics, emitters = topo.callers_of(scen.target), ("net_latency_ms",), (scen.target,)
+        elif kind is FaultKind.TOR_PACKET_LOSS:
+            hit, metrics = topo.pods_behind_switch(scen.target), ("packet_loss_rate", "net_latency_ms")
+        elif kind is FaultKind.INGRESS_THROTTLE:
+            hit, metrics = (scen.target,), ("net_latency_ms",)
+        elif kind is FaultKind.NOISY_NEIGHBOR:
+            hit, metrics = topo.pods_on_node(scen.target), ("cpu_util", "disk_io")
+        else:
+            hit, metrics = (), ()  # node_decommission: events only
+        cells = [self._row[e] * len(METRICS) + METRICS.index(m) for e in hit for m in metrics]
+        deltas = [scen.magnitude * HEADROOM[m] for _ in hit for m in metrics]
+        return np.array(cells, dtype=np.intp), np.array(deltas, dtype=float), emitters
 
     # -- time ----------------------------------------------------------------
 
-    def step(self) -> tuple[list[TelemetrySample], list[RawEvent]]:
+    def step(self) -> tuple[TickFrame, list[RawEvent]]:
         tick = self._tick
         events: list[RawEvent] = []
 
@@ -351,34 +401,26 @@ class ClusterSim:
                     events.append(
                         RawEvent(tick, scen.target, "node_decommissioned", (("generation", gen),))
                     )
-                    self._removed.add(scen.target)
-                    self._removed.update(self.topology.pods_on_node(scen.target))
+                    gone = (scen.target, *self.topology.pods_on_node(scen.target))
+                    self._removed.update(gone)
+                    self._live[[self._row[e] for e in gone]] = False
 
-        offsets: dict[tuple[str, str], float] = {}
+        # Offsets add up in fault order, cell by cell.
+        offsets = np.zeros((len(self._noise_order), len(METRICS)))
+        flat = offsets.reshape(-1)
         for fault in self._faults:
             if not fault.contributes_at(tick):
                 continue
-            for entity, per_metric in fault.offsets.items():
-                if entity in self._removed:
-                    continue
-                for metric, off in per_metric.items():
-                    offsets[(entity, metric)] = offsets.get((entity, metric), 0.0) + off
+            flat[fault.cells] += fault.deltas
             for emitter in fault.event_emitters:
                 if emitter not in self._removed:
                     events.append(RawEvent(tick, emitter, "dns_error", (("scope", emitter),)))
 
         rng = np.random.default_rng((self._seed, SIM_STREAM, tick))
-        noise = rng.uniform(-1.0, 1.0, size=(len(self._noise_order), len(METRICS)))
-        samples: list[TelemetrySample] = []
-        for i, entity in enumerate(self._noise_order):
-            if entity in self._removed:
-                continue
-            for j, metric in enumerate(METRICS):
-                base = BASELINES[metric]
-                value = base + offsets.get((entity, metric), 0.0) + noise[i, j] * self._noise_pct * base
-                samples.append(TelemetrySample(tick, entity, metric, _clamp(metric, value)))
+        noise = rng.uniform(-1.0, 1.0, size=offsets.shape)
+        values = np.clip((_BASE + offsets) + (noise * self._noise_pct) * _BASE, 0.0, _CEILING)
         self._tick = tick + 1
-        return samples, events
+        return TickFrame(tick, self._noise_order, self._row, values, self._live.copy()), events
 
     # -- actions ---------------------------------------------------------------
 
@@ -413,16 +455,10 @@ class ClusterSim:
         return False
 
 
-def _clamp(metric: str, value: float) -> float:
-    if metric in ("cpu_util", "mem_util", "disk_io", "packet_loss_rate"):
-        return min(1.0, max(0.0, value))
-    return max(0.0, value)
-
-
 # -- stream serialization -----------------------------------------------------
 
 
-def stream_lines(samples: list[TelemetrySample], events: list[RawEvent]) -> list[str]:
+def stream_lines(samples: Iterable[TelemetrySample], events: list[RawEvent]) -> list[str]:
     """Serialize one tick of output as JSONL (telemetry rows, then events)."""
     lines = []
     for s in samples:

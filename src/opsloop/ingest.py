@@ -1,17 +1,30 @@
 """Telemetry normalization and windowed anomaly detection.
 
-Raw simulator output (metric samples and discrete events) is normalized
-into a single record shape, then a sliding window is scored with an
-exponentially weighted moving average per (entity, metric) series. The
+Raw simulator output is kept in two shapes. Telemetry stays columnar: the
+feed holds each tick's `TickFrame` (one entity x metric array) in a ring
+of the last W ticks. Discrete events are rare, so each becomes a
+`UnifiedRecord` as it arrives. `UnifiedRecord`s for telemetry are built
+only as evidence of a series that fired, or when a caller iterates a
+batch or the window.
+
+The detector scores each (entity, metric) series with an exponentially
+weighted moving average. Given the feed's window it runs the recurrence
+on whole frames, tick by tick; given a list of records it groups and
+scores them one series at a time. Both paths compute the same floats in
+the same order, so they raise equal alerts on the same window. The
 detector is a pure function of the window: re-scoring the same window
 yields the same alerts.
 """
 from __future__ import annotations
 
 import json
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .cluster import RawEvent, TelemetrySample
+import numpy as np
+
+from .cluster import RawEvent, TelemetrySample, TickFrame
 from .config import (
     ANOMALY_ATTR,
     BASELINES,
@@ -21,6 +34,7 @@ from .config import (
     EVENT_SEVERITY,
     EVIDENCE_FLOOR_SIGMA,
     EWMA_ALPHA,
+    METRICS,
     SEVERITY_BUCKETS,
     category_of_attribute,
     metric_sigma,
@@ -58,6 +72,39 @@ class Alert:
             value=None,
             severity=self.severity,
         )
+
+
+@dataclass(frozen=True)
+class TickBatch:
+    """One tick as the feed holds it: the telemetry frame and the tick's
+    event records. Iterating yields the records of the tick, telemetry
+    first; `len()` counts them."""
+
+    frame: TickFrame
+    events: tuple[UnifiedRecord, ...]
+
+    def __len__(self) -> int:
+        return len(self.frame) + len(self.events)
+
+    def __iter__(self) -> Iterator[UnifiedRecord]:
+        for sample in self.frame:
+            yield normalize(sample)
+        yield from self.events
+
+
+class FeedWindow:
+    """The feed's last W ticks, oldest first. Iterating yields their records
+    tick by tick; `len()` counts them."""
+
+    def __init__(self, batches: Iterable[TickBatch]):
+        self.batches = tuple(batches)
+
+    def __len__(self) -> int:
+        return sum(len(b) for b in self.batches)
+
+    def __iter__(self) -> Iterator[UnifiedRecord]:
+        for batch in self.batches:
+            yield from batch
 
 
 def normalize(raw: TelemetrySample | RawEvent) -> UnifiedRecord:
@@ -127,8 +174,114 @@ def _severity_from_sigma(deviation: float, sigma: float) -> int:
     return 0
 
 
+def _sigma(metric: str, noise_pct: float | None) -> float:
+    if noise_pct is None:
+        return metric_sigma(metric)
+    return noise_pct * BASELINES[metric] / (3.0 ** 0.5)
+
+
+def _metric_alert(recs: list[UnifiedRecord], deviation: float, sigma: float) -> Alert:
+    """The alert of a fired series, given as its records oldest first. It
+    cites the records beyond the evidence floor."""
+    last = recs[-1]
+    baseline = BASELINES[last.attribute]
+    floor = EVIDENCE_FLOOR_SIGMA * sigma
+    evidence = tuple(r for r in recs if abs(r.value - baseline) > floor)
+    if not evidence:  # the extreme sample always clears the floor
+        evidence = (max(recs, key=lambda r: abs(r.value - baseline)),)
+    return Alert(
+        tick=last.tick,
+        entity=last.entity,
+        attribute=ANOMALY_ATTR[last.attribute],
+        severity=_severity_from_sigma(deviation, sigma),
+        evidence=evidence,
+    )
+
+
+def _event_alerts(records: Iterable[UnifiedRecord]) -> list[Alert]:
+    """One alert per (entity, kind) of the events with nonzero severity."""
+    groups: dict[tuple[str, str], list[UnifiedRecord]] = {}
+    for rec in records:
+        if rec.source == "event" and rec.severity > 0:
+            groups.setdefault((rec.entity, rec.attribute), []).append(rec)
+    alerts = []
+    for (entity, attribute), recs in groups.items():
+        recs = sorted(recs, key=lambda r: r.tick)
+        alerts.append(Alert(
+            tick=recs[-1].tick,
+            entity=entity,
+            attribute=attribute,
+            severity=max(r.severity for r in recs),
+            evidence=tuple(recs),
+        ))
+    return alerts
+
+
+def _score_records(
+    window: Iterable[UnifiedRecord], alpha: float, k: float, min_ticks: int, noise_pct: float | None,
+) -> list[Alert]:
+    """The per-series path over any list of records. Records of one series
+    may share a tick; the series is ordered by tick, stably."""
+    series: dict[tuple[str, str], list[UnifiedRecord]] = {}
+    events = []
+    for rec in window:
+        if rec.source == "telemetry":
+            series.setdefault((rec.entity, rec.attribute), []).append(rec)
+        else:
+            events.append(rec)
+
+    alerts: list[Alert] = []
+    for (_, metric), recs in series.items():
+        recs = sorted(recs, key=lambda r: r.tick)
+        if len({r.tick for r in recs}) < min_ticks:
+            continue
+        baseline = BASELINES[metric]
+        sigma = _sigma(metric, noise_pct)
+        ewma = baseline
+        for rec in recs:
+            ewma = alpha * rec.value + (1.0 - alpha) * ewma
+        deviation = abs(ewma - baseline)
+        fired = deviation > k * sigma if sigma > 0.0 else deviation > 0.0
+        if fired:
+            alerts.append(_metric_alert(recs, deviation, sigma))
+    return alerts + _event_alerts(events)
+
+
+def _score_frames(
+    window: FeedWindow, alpha: float, k: float, min_ticks: int, noise_pct: float | None,
+) -> list[Alert]:
+    """The columnar path over the feed's window: the same recurrence, run on
+    whole frames tick by tick. An entity's series is its live ticks (a
+    prefix of the window, since removal is permanent). Records are built
+    only for the series that fire."""
+    batches = window.batches
+    alerts: list[Alert] = []
+    if batches:
+        ticks = [b.frame.tick for b in batches]
+        entities = batches[0].frame.entities
+        values = np.stack([b.frame.values for b in batches])  # (tick, entity, metric)
+        live = np.stack([b.frame.live for b in batches])  # (tick, entity)
+        baseline = np.array([BASELINES[m] for m in METRICS])
+        sigma = np.array([_sigma(m, noise_pct) for m in METRICS])
+        ewma = np.broadcast_to(baseline, values.shape[1:])
+        for x, is_live in zip(values, live):
+            ewma = np.where(is_live[:, None], alpha * x + (1.0 - alpha) * ewma, ewma)
+        deviation = np.abs(ewma - baseline)
+        fired = np.where(sigma > 0.0, deviation > k * sigma, deviation > 0.0)
+        fired &= (live.sum(axis=0) >= min_ticks)[:, None]
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(fired))):
+            metric = METRICS[j]
+            category = CLASSIFICATION[metric].value
+            recs = [
+                UnifiedRecord(tick, entities[i], "telemetry", category, metric, value, 0)
+                for tick, value, is_live in zip(ticks, values[:, i, j].tolist(), live[:, i]) if is_live
+            ]
+            alerts.append(_metric_alert(recs, float(deviation[i, j]), float(sigma[j])))
+    return alerts + _event_alerts(rec for b in batches for rec in b.events)
+
+
 def detect_anomalies(
-    window: list[UnifiedRecord],
+    window: FeedWindow | list[UnifiedRecord],
     *,
     alpha: float = EWMA_ALPHA,
     k: float = DETECT_K,
@@ -142,80 +295,32 @@ def detect_anomalies(
     the window more than k sigma away from baseline. Severity escalates at
     the 3/5/8 sigma buckets. Events with nonzero severity alert directly.
     Every alert cites the window records that support it.
+
+    The feed's `FeedWindow` is scored column-wise; a list of records, one
+    series at a time. Both give equal alerts on the same window.
     """
-    series: dict[tuple[str, str], list[UnifiedRecord]] = {}
-    event_groups: dict[tuple[str, str], list[UnifiedRecord]] = {}
-    for rec in window:
-        if rec.source == "telemetry":
-            series.setdefault((rec.entity, rec.attribute), []).append(rec)
-        elif rec.source == "event" and rec.severity > 0:
-            event_groups.setdefault((rec.entity, rec.attribute), []).append(rec)
-
-    alerts: list[Alert] = []
-    for (entity, metric), recs in series.items():
-        recs = sorted(recs, key=lambda r: r.tick)
-        if len({r.tick for r in recs}) < min_ticks:
-            continue
-        baseline = BASELINES[metric]
-        sigma = metric_sigma(metric) if noise_pct is None else (
-            noise_pct * baseline / (3.0 ** 0.5)
-        )
-        ewma = baseline
-        for rec in recs:
-            ewma = alpha * rec.value + (1.0 - alpha) * ewma
-        deviation = abs(ewma - baseline)
-        threshold = k * sigma
-        fired = deviation > threshold if sigma > 0.0 else deviation > 0.0
-        if not fired:
-            continue
-        floor = EVIDENCE_FLOOR_SIGMA * sigma
-        evidence = tuple(r for r in recs if abs(r.value - baseline) > floor)
-        if not evidence:  # the extreme sample always clears the floor
-            evidence = (max(recs, key=lambda r: abs(r.value - baseline)),)
-        alerts.append(
-            Alert(
-                tick=recs[-1].tick,
-                entity=entity,
-                attribute=ANOMALY_ATTR[metric],
-                severity=_severity_from_sigma(deviation, sigma),
-                evidence=evidence,
-            )
-        )
-
-    for (entity, attribute), recs in event_groups.items():
-        recs = sorted(recs, key=lambda r: r.tick)
-        alerts.append(
-            Alert(
-                tick=recs[-1].tick,
-                entity=entity,
-                attribute=attribute,
-                severity=max(r.severity for r in recs),
-                evidence=tuple(recs),
-            )
-        )
-
+    score = _score_frames if isinstance(window, FeedWindow) else _score_records
+    alerts = score(window, alpha, k, min_ticks, noise_pct)
     alerts.sort(key=lambda a: (a.entity, a.attribute))
     return alerts
 
 
 class TelemetryFeed:
-    """Owns the sim-stepping loop and the sliding normalization window."""
+    """Owns the sim-stepping loop and a ring of the last `window_ticks` ticks."""
 
     def __init__(self, sim, window_ticks: int = DETECT_WINDOW):
         self.sim = sim
         self.window_ticks = window_ticks
-        self._per_tick: list[list[UnifiedRecord]] = []
+        self._ring: deque[TickBatch] = deque(maxlen=window_ticks)
 
-    def step(self) -> list[UnifiedRecord]:
-        samples, events = self.sim.step()
-        batch = [normalize(s) for s in samples] + [normalize(e) for e in events]
-        self._per_tick.append(batch)
-        if len(self._per_tick) > self.window_ticks:
-            self._per_tick = self._per_tick[-self.window_ticks:]
+    def step(self) -> TickBatch:
+        frame, events = self.sim.step()
+        batch = TickBatch(frame, tuple(normalize(e) for e in events))
+        self._ring.append(batch)
         return batch
 
-    def window(self) -> list[UnifiedRecord]:
-        return [rec for batch in self._per_tick for rec in batch]
+    def window(self) -> FeedWindow:
+        return FeedWindow(self._ring)
 
     def latest(self) -> list[UnifiedRecord]:
-        return list(self._per_tick[-1]) if self._per_tick else []
+        return list(self._ring[-1]) if self._ring else []

@@ -46,7 +46,7 @@ from .config import (
     noise_band,
 )
 from .contextpack import BudgetPolicy, IncidentDescriptor, assemble, update_weights
-from .ingest import Alert, TelemetryFeed, detect_anomalies
+from .ingest import Alert, TelemetryFeed, TickBatch, detect_anomalies
 from .lattice import DistillReport, RetireCriteria, distill, retire_rules, validated_rules
 from .memory import Episode, ForgetCriteria, Memories
 from .reasoner import ActionPlan, Diagnosis, diagnose, make_plan
@@ -310,25 +310,21 @@ class AgentLoop:
             return entity
         return entity
 
-    def _stop_met(self, batch, stop) -> bool:
+    def _stop_met(self, batch: TickBatch, stop) -> bool:
         attr = stop.attribute
         if not attr:
             return False
         if attr in EVENT_KINDS:
             return not any(
-                rec.source == "event" and rec.attribute == attr and rec.entity in stop.entities
-                for rec in batch
+                rec.attribute == attr and rec.entity in stop.entities for rec in batch.events
             )
         metric = ATTR_SOURCE[attr][1]
         band = noise_band(metric, self.params.noise_pct) + VERIFY_EPS
         baseline = BASELINES[metric]
-        samples = [
-            rec for rec in batch
-            if rec.source == "telemetry" and rec.attribute == metric and rec.entity in stop.entities
-        ]
-        if not samples:
+        values = batch.frame.live_values(metric, stop.entities)
+        if not values:
             return True  # emitters gone (e.g. decommissioned): nothing violating
-        return all(abs(rec.value - baseline) <= band for rec in samples)
+        return all(abs(v - baseline) <= band for v in values)
 
     # -- the loop ------------------------------------------------------------------
 

@@ -61,6 +61,29 @@ class RunConfig:
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(LoopParams)}
 
 
+def _episode_id(index: int) -> str:
+    return f"ep-{index + 1:04d}"
+
+
+def _check_can_fire(topology: ClusterTopology, scenario: list[ScenarioTemplate], episodes: int) -> None:
+    """Unroll the scenario cycle over the episodes and reject a template
+    whose target an earlier episode decommissioned (the node or one of its
+    pods): its fault cannot fire, so its episode would wait for an alert
+    that never comes."""
+    removed: set[str] = set()
+    for i in range(episodes):
+        slot = i % len(scenario)
+        tmpl = scenario[slot]
+        if tmpl.target in removed:
+            raise ConfigError(
+                f"{_episode_id(i)}: scenario[{slot}] {tmpl.kind.value} targets "
+                f"{tmpl.target!r}, decommissioned in an earlier episode; it cannot fire"
+            )
+        if tmpl.kind is FaultKind.NODE_DECOMMISSION:
+            removed.add(tmpl.target)
+            removed.update(topology.pods_on_node(tmpl.target))
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
@@ -96,6 +119,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         scenario.append(tmpl)
     if episodes > 0 and not scenario:
         raise ConfigError("episodes > 0 needs a non-empty scenario")
+    _check_can_fire(topology, scenario, episodes)
 
     params_raw = raw.get("params", {})
     unknown = set(params_raw) - _PARAM_FIELDS
@@ -323,7 +347,6 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     runs: list[EpisodeRun] = []
     records: list[dict] = []
     for i in range(config.episodes):
-        episode_id = f"ep-{i + 1:04d}"
         scenario = None
         if config.scenario:
             tmpl = config.scenario[i % len(config.scenario)]
@@ -335,7 +358,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
                 magnitude=tmpl.magnitude,
             )
             sim.inject(scenario)
-        episode_run = loop.run_episode(episode_id)
+        episode_run = loop.run_episode(_episode_id(i))
         runs.append(episode_run)
         row = _row_for(episode_run, scenario, loop.active_rule_count())
         rows.append(row)

@@ -285,7 +285,7 @@ def test_stream_round_trip(tiny_topology):
     samples, events = sim.step()
     lines = stream_lines(samples, events)
     parsed = [parse_stream_line(line) for line in lines]
-    assert parsed == samples + events
+    assert parsed == list(samples) + events
     with pytest.raises(ValueError):
         parse_stream_line('{"tick": 0}')
 

@@ -1,12 +1,13 @@
 """State machine legality, budget ledger, decomposition, full loop episodes."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from opsloop.cluster import ClusterSim, FaultScenario, build_topology
-from opsloop.config import BASELINES
+from opsloop.cluster import ClusterSim, FaultScenario, TickFrame, build_topology
+from opsloop.config import BASELINES, METRICS
 from opsloop.contextpack import IncidentDescriptor
-from opsloop.ingest import TelemetryFeed, UnifiedRecord
+from opsloop.ingest import TelemetryFeed, TickBatch, UnifiedRecord
 from opsloop.memory import (
     EpisodicStore,
     KnowledgeGraph,
@@ -324,10 +325,14 @@ def test_loop_times_out_when_nothing_happens():
 def test_stop_met_event_and_metric_semantics():
     _, loop = make_loop([throttle_runbook()])
 
-    def tele(entity, metric, value):
-        return UnifiedRecord(tick=1, entity=entity, source="telemetry",
-                             category="performance", attribute=metric,
-                             value=value, severity=0)
+    def batch(latency=None, events=(), live=None):
+        # one tick: net_latency_ms per entity, every other metric at 0
+        entities = tuple(latency or {})
+        values = np.zeros((len(entities), len(METRICS)))
+        values[:, METRICS.index("net_latency_ms")] = [latency[e] for e in entities]
+        mask = np.array([e in (live if live is not None else entities) for e in entities], dtype=bool)
+        rows = {e: i for i, e in enumerate(entities)}
+        return TickBatch(TickFrame(1, entities, rows, values, mask), tuple(events))
 
     def event(entity, kind):
         return UnifiedRecord(tick=1, entity=entity, source="event",
@@ -335,16 +340,18 @@ def test_stop_met_event_and_metric_semantics():
                              value=None, severity=3)
 
     event_stop = StopCondition(attribute="dns_error", entities=frozenset({"svc-x"}))
-    assert loop._stop_met([], event_stop) is True
-    assert loop._stop_met([event("svc-x", "dns_error")], event_stop) is False
-    assert loop._stop_met([event("svc-y", "dns_error")], event_stop) is True
+    assert loop._stop_met(batch(), event_stop) is True
+    assert loop._stop_met(batch(events=[event("svc-x", "dns_error")]), event_stop) is False
+    assert loop._stop_met(batch(events=[event("svc-y", "dns_error")]), event_stop) is True
 
     metric_stop = StopCondition(attribute="latency_high", entities=frozenset({"p1"}))
     base = BASELINES["net_latency_ms"]
-    assert loop._stop_met([tele("p1", "net_latency_ms", base)], metric_stop) is True
-    assert loop._stop_met([tele("p1", "net_latency_ms", base * 1.5)], metric_stop) is False
+    assert loop._stop_met(batch({"p1": base}), metric_stop) is True
+    assert loop._stop_met(batch({"p1": base * 1.5}), metric_stop) is False
     # whoever else is noisy does not matter
-    assert loop._stop_met([tele("p9", "net_latency_ms", base * 9)], metric_stop) is True
+    assert loop._stop_met(batch({"p9": base * 9}), metric_stop) is True
     # no samples at all: the emitters are gone, nothing can violate the stop
-    assert loop._stop_met([], metric_stop) is True
-    assert loop._stop_met([], StopCondition(attribute="", entities=frozenset())) is False
+    assert loop._stop_met(batch(), metric_stop) is True
+    # a removed row is gone too, whatever its values hold
+    assert loop._stop_met(batch({"p1": base * 9}, live=()), metric_stop) is True
+    assert loop._stop_met(batch(), StopCondition(attribute="", entities=frozenset())) is False

@@ -95,6 +95,25 @@ def test_load_config_reads_real_configs(dns_config_path):
     assert cfg.params.learning_cadence == 5
 
 
+def test_config_rejects_a_cycle_that_decommissions_a_node_twice(mixed_config_path):
+    # mixed_faults ends its cycle of five with the decommission of node-6;
+    # a tenth episode would decommission it again, raise no alert, and
+    # stop the run before it wrote anything.
+    raw = json.loads(mixed_config_path.read_text())
+    raw["episodes"] = 10
+    with pytest.raises(ConfigError, match=r"ep-0010: scenario\[4\] node_decommission targets 'node-6'"):
+        config_from_dict(raw)
+
+
+def test_config_rejects_a_fault_on_a_decommissioned_node():
+    decommission = {"kind": "node_decommission", "target": "n1", "lead": 2}
+    noisy = tiny_run_dict()["scenario"][0]
+    with pytest.raises(ConfigError, match="ep-0002: scenario\\[1\\] noisy_neighbor targets 'n1'"):
+        config_from_dict(tiny_run_dict(episodes=2, scenario=[decommission, noisy]))
+    # the other order can fire: the fault comes before the node goes
+    assert config_from_dict(tiny_run_dict(episodes=2, scenario=[noisy, decommission])).episodes == 2
+
+
 def test_policy_must_bind_to_known_service(tmp_path):
     raw = tiny_run_dict(policies=[{"id": "pol-x", "applies_to": ["svc-ghost"]}])
     cfg = config_from_dict(raw)
