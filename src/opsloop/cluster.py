@@ -4,6 +4,10 @@ The simulated fleet is a small rack/node/pod/service topology. Each tick
 every live node, pod, and service emits the six standard metrics at its
 baseline plus uniform +/-2% sampling noise; active faults add deterministic
 offsets to the entities in their blast set and may emit discrete events.
+The simulator keeps every fault it was given, for actions and
+`fault_cleared`, but a tick walks only the faults that can still act:
+a fault leaves that list once it has expired or been cleared, and a
+decommission once it is done.
 
 A tick is one `TickFrame`: a float64 array with a row per emitting entity
 (in the static order of `ClusterTopology.emitting_entities`) and a column
@@ -290,6 +294,7 @@ _FAULT_TARGET_CLASS = {
 @dataclass
 class _ActiveFault:
     scenario: FaultScenario
+    kind: FaultKind
     # Flat (row-major) frame indices of the cells the fault offsets, each
     # cell once, and the offset of each; fixed at injection time.
     cells: np.ndarray
@@ -308,6 +313,16 @@ class _ActiveFault:
             return False
         return True
 
+    def spent_after(self, tick: int) -> bool:
+        """True when the fault can no longer act at any tick after `tick`:
+        a decommission once done, any other fault once cleared or expired."""
+        if self.kind is FaultKind.NODE_DECOMMISSION:
+            return self.decommission_done
+        scen = self.scenario
+        return self.cleared_at is not None or (
+            scen.duration is not None and tick + 1 >= scen.start_tick + scen.duration
+        )
+
 
 class ClusterSim:
     """Discrete-tick simulator. step() emits one tick of telemetry + events."""
@@ -318,6 +333,8 @@ class ClusterSim:
         self._noise_pct = float(noise_pct)
         self._tick = 0
         self._faults: list[_ActiveFault] = []
+        # The faults that can still act, in injection order: all `step` walks.
+        self._acting: list[_ActiveFault] = []
         self._removed: set[str] = set()
         # Noise is drawn over the full static entity list every tick so that
         # removing an entity never shifts another entity's stream.
@@ -360,7 +377,9 @@ class ClusterSim:
                 raise ScenarioError(f"{kind.value} needs a positive duration")
             if not 0.0 < scenario.magnitude <= 1.0:
                 raise ScenarioError("fault magnitude must be in (0, 1]")
-        self._faults.append(_ActiveFault(scenario, *self._blast(scenario)))
+        fault = _ActiveFault(scenario, kind, *self._blast(scenario))
+        self._faults.append(fault)
+        self._acting.append(fault)
 
     def _blast(self, scen: FaultScenario) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """Resolve the scenario's blast set into frame cells, the offset of
@@ -388,10 +407,10 @@ class ClusterSim:
         tick = self._tick
         events: list[RawEvent] = []
 
-        for fault in self._faults:
+        for fault in self._acting:
             scen = fault.scenario
             if (
-                FaultKind(scen.kind) is FaultKind.NODE_DECOMMISSION
+                fault.kind is FaultKind.NODE_DECOMMISSION
                 and not fault.decommission_done
                 and tick >= scen.start_tick
             ):
@@ -408,7 +427,7 @@ class ClusterSim:
         # Offsets add up in fault order, cell by cell.
         offsets = np.zeros((len(self._noise_order), len(METRICS)))
         flat = offsets.reshape(-1)
-        for fault in self._faults:
+        for fault in self._acting:
             if not fault.contributes_at(tick):
                 continue
             flat[fault.cells] += fault.deltas
@@ -419,6 +438,7 @@ class ClusterSim:
         rng = np.random.default_rng((self._seed, SIM_STREAM, tick))
         noise = rng.uniform(-1.0, 1.0, size=offsets.shape)
         values = np.clip((_BASE + offsets) + (noise * self._noise_pct) * _BASE, 0.0, _CEILING)
+        self._acting = [f for f in self._acting if not f.spent_after(tick)]
         self._tick = tick + 1
         return TickFrame(tick, self._noise_order, self._row, values, self._live.copy()), events
 
@@ -441,9 +461,9 @@ class ClusterSim:
                 continue  # not started yet
             if scen.duration is not None and self._tick >= scen.start_tick + scen.duration:
                 continue  # already expired on its own
-            if REMEDY[FaultKind(scen.kind)] is action and scen.target == target:
+            if REMEDY[fault.kind] is action and scen.target == target:
                 fault.cleared_at = self._tick
-                cleared.append(FaultKind(scen.kind).value)
+                cleared.append(fault.kind.value)
         if cleared:
             return ActionResult(action.value, target, self._tick, True, "cleared " + ", ".join(cleared))
         return ActionResult(action.value, target, self._tick, False, "no matching active fault")

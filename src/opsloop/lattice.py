@@ -9,13 +9,25 @@ conditional forgetting: rules whose evidence died with decommissioned
 hardware, lost confidence, or aged out without reconfirmation.
 
 Internally a context stores incidence as per-attribute and per-object
-bitmasks; attribute index 0 is the lectically most significant position.
+int bitmasks; attribute index 0 is the lectically most significant
+position. Enumeration and mining stay on masks from start to finish:
+`_concept_masks` yields (extent, intent) mask pairs, each NextClosure
+candidate's extent is one AND of a prefix extent with an attribute
+extent, and a candidate is rejected by the Close-by-One canonicity test
+(some attribute below it, outside the current intent, holds its whole
+extent) before its intent is computed. Names and frozensets are built only
+for what leaves the module: `concepts()` and the rules that survive the
+thresholds.
+
+`closure_calls` counts the candidate closures NextClosure examines, one
+per candidate attribute tried, whatever the test rejects cheaply. That
+count is a learning pass's `ill` charge.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .config import (
     ATTR_SOURCE,
@@ -31,6 +43,14 @@ from .memory.knowledge import KnowledgeGraph
 
 class ContextError(Exception):
     pass
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -92,31 +112,21 @@ class FormalContext:
         return mask
 
     def _attrs_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            self.attributes[i] for i in range(len(self.attributes)) if mask >> i & 1
-        )
+        return frozenset(self.attributes[i] for i in _bits(mask))
 
     def _objs_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            self.objects[i] for i in range(len(self.objects)) if mask >> i & 1
-        )
+        return frozenset(self.objects[i] for i in _bits(mask))
 
     def _extent_mask(self, attr_mask: int) -> int:
         extent = self._all_objects
-        m = attr_mask
-        while m:
-            low = m & -m
-            extent &= self._attr_extents[low.bit_length() - 1]
-            m ^= low
+        for i in _bits(attr_mask):
+            extent &= self._attr_extents[i]
         return extent
 
     def _intent_mask(self, obj_mask: int) -> int:
         intent = self._all_attrs
-        m = obj_mask
-        while m:
-            low = m & -m
-            intent &= self._obj_intents[low.bit_length() - 1]
-            m ^= low
+        for i in _bits(obj_mask):
+            intent &= self._obj_intents[i]
         return intent
 
     def _closure_mask(self, attr_mask: int) -> int:
@@ -139,17 +149,57 @@ class FormalContext:
 
     # -- concept enumeration -----------------------------------------------------
 
-    def _next_closure(self, attr_mask: int) -> int | None:
+    def _concept_masks(self) -> Iterator[tuple[int, int]]:
+        """(extent, intent) masks of all concepts, intents in ascending
+        lectic order: NextClosure, with each candidate computed on masks.
+
+        From intent A, NextClosure tries each attribute i not in A, highest
+        index first, as the candidate closure of (A below i) + {i}; the
+        first candidate that adds no attribute below i is the next intent.
+        Here the candidate's extent is `prefix_ext[i] & attr_extent[i]`,
+        where `prefix_ext[i]` is the extent of A's attributes below i, and
+        the candidate is canonical unless some attribute j < i outside A
+        holds that whole extent (the Close-by-One test). Only a canonical
+        candidate's intent is computed. Every candidate tried adds 1 to
+        `closure_calls`, as a full closure per candidate would."""
         n = len(self.attributes)
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if attr_mask & bit:
-                continue
-            prefix = bit - 1
-            candidate = self._closure_mask((attr_mask & prefix) | bit)
-            if candidate & prefix == attr_mask & prefix:
-                return candidate
-        return None
+        attr_ext = self._attr_extents
+        # missing[j]: the objects without attribute j, so that an extent E
+        # lies inside attribute j's extent exactly when E & missing[j] is 0.
+        missing = [self._all_objects ^ e for e in attr_ext]
+        self.closure_calls += 1
+        extent = self._all_objects
+        intent = self._intent_mask(extent)
+        prefix_ext = [0] * n
+        while True:
+            yield extent, intent
+            outside: list[int] = []  # attributes not in the intent, ascending
+            ext = self._all_objects
+            for i in range(n):
+                if intent >> i & 1:
+                    ext &= attr_ext[i]
+                else:
+                    outside.append(i)
+                    prefix_ext[i] = ext
+            for k in range(len(outside) - 1, -1, -1):
+                i = outside[k]
+                self.closure_calls += 1
+                cand = prefix_ext[i] & attr_ext[i]
+                for j in outside[:k]:
+                    if not cand & missing[j]:
+                        break
+                else:
+                    # Canonical: below i the intent keeps A's attributes;
+                    # above i it gains each attribute holding the extent.
+                    bit = 1 << i
+                    intent = (intent & (bit - 1)) | bit
+                    for j in range(i + 1, n):
+                        if not cand & missing[j]:
+                            intent |= 1 << j
+                    extent = cand
+                    break
+            else:
+                return
 
     def concepts(self) -> list[Concept]:
         """All formal concepts, intents in ascending lectic order.
@@ -157,17 +207,10 @@ class FormalContext:
         Includes the top concept (all objects) and, when no object has every
         attribute, the bottom concept (full attribute set, possibly empty
         extent)."""
-        out: list[Concept] = []
-        intent = self._closure_mask(0)
-        while True:
-            out.append(Concept(
-                extent=self._objs_from_mask(self._extent_mask(intent)),
-                intent=self._attrs_from_mask(intent),
-            ))
-            nxt = self._next_closure(intent)
-            if nxt is None:
-                return out
-            intent = nxt
+        return [
+            Concept(extent=self._objs_from_mask(extent), intent=self._attrs_from_mask(intent))
+            for extent, intent in self._concept_masks()
+        ]
 
     def meet(self, a: Concept, b: Concept) -> Concept:
         intent = self._closure_mask(self._attr_mask(a.intent | b.intent))
@@ -296,26 +339,29 @@ def mine_rules(
     n = len(context.objects)
     if n == 0:
         return []
+    outcome = context._attr_mask(a for a in context.attributes if is_outcome_label(a))
     rules: dict[str, Rule] = {}
-    for concept in context.concepts():
-        antecedent = frozenset(a for a in concept.intent if not is_outcome_label(a))
-        consequent = concept.intent - antecedent
-        if not antecedent or not consequent:
+    for extent, intent in context._concept_masks():
+        ante_mask = intent & ~outcome
+        cons_mask = intent & outcome
+        if not ante_mask or not cons_mask:
             continue
-        full_count = len(concept.extent)
-        ante_count = len(context.extent_of(antecedent))
-        if full_count == 0 or ante_count == 0:
+        full_count = extent.bit_count()
+        if full_count == 0:
             continue
         support = full_count / n
-        confidence = full_count / ante_count
-        if support < min_support or confidence < min_confidence:
+        if support < min_support:
+            continue
+        # ext(A) contains ext(I), so it is not empty either.
+        confidence = full_count / context._extent_mask(ante_mask).bit_count()
+        if confidence < min_confidence:
             continue
         rule = Rule(
-            antecedent=antecedent,
-            consequent=consequent,
+            antecedent=context._attrs_from_mask(ante_mask),
+            consequent=context._attrs_from_mask(cons_mask),
             support=support,
             confidence=confidence,
-            provenance=tuple(sorted(concept.extent)),
+            provenance=tuple(sorted(context._objs_from_mask(extent))),
         )
         rules[rule.rule_id] = rule
     return [rules[k] for k in sorted(rules)]

@@ -49,7 +49,7 @@ from .contextpack import BudgetPolicy, IncidentDescriptor, assemble, update_weig
 from .ingest import Alert, TelemetryFeed, TickBatch, detect_anomalies
 from .lattice import DistillReport, RetireCriteria, distill, retire_rules, validated_rules
 from .memory import Episode, ForgetCriteria, Memories
-from .reasoner import ActionPlan, Diagnosis, diagnose, make_plan
+from .reasoner import ActionPlan, Diagnosis, diagnose, lead_alert_key, make_plan
 
 
 class Phase(str, Enum):
@@ -407,14 +407,7 @@ class AgentLoop:
                         alert.entity, "decommissioned", str(alert.tick),
                         provenance="event", tick=alert.tick,
                     )
-            ordered = sorted(
-                alerts,
-                key=lambda a: (
-                    0 if a.attribute in EVENT_KINDS else 1,
-                    -a.severity, a.tick, a.entity, a.attribute,
-                ),
-            )
-            top_alert = ordered[0]
+            top_alert = min(alerts, key=lead_alert_key)
             top_entities = sorted({a.entity for a in alerts if a.attribute == top_alert.attribute})
             services = list(dict.fromkeys(
                 self._to_service(e, ledger) for e in top_entities

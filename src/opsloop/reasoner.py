@@ -323,21 +323,24 @@ def make_plan(
     return ActionPlan(entries=entries, stop=stop, escalation_after=escalation_after)
 
 
+def lead_alert_key(alert) -> tuple:
+    """Sort key that puts an incident's lead alert first: event alerts
+    before metric alerts, then higher severity, then the oldest tick, then
+    entity and attribute names."""
+    return (
+        0 if alert.attribute in EVENT_KINDS else 1,
+        -alert.severity,
+        alert.tick,
+        alert.entity,
+        alert.attribute,
+    )
+
+
 def _stop_condition(alerts: list) -> StopCondition:
-    """The incident's leading symptom: event alerts outrank metric alerts,
-    then severity, then recency-first tick, then names."""
+    """The incident's leading symptom: the attribute of the lead alert (see
+    `lead_alert_key`) and every entity alerting on it."""
     if not alerts:
         return StopCondition(attribute="", entities=frozenset())
-    ordered = sorted(
-        alerts,
-        key=lambda a: (
-            0 if a.attribute in EVENT_KINDS else 1,
-            -a.severity,
-            a.tick,
-            a.entity,
-            a.attribute,
-        ),
-    )
-    top_attr = ordered[0].attribute
+    top_attr = min(alerts, key=lead_alert_key).attribute
     entities = frozenset(a.entity for a in alerts if a.attribute == top_attr)
     return StopCondition(attribute=top_attr, entities=entities)

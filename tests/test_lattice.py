@@ -374,6 +374,90 @@ def test_mine_rules_matches_brute_force_on_random_contexts():
         assert got == brute_rules(objects, attributes, incidence, min_s, min_c)
 
 
+def reference_mine_rules(context, min_support, min_confidence):
+    """Rules read off frozenset concepts, one `extent_of` per concept."""
+    n = len(context.objects)
+    if n == 0:
+        return []
+    rules = {}
+    for concept in context.concepts():
+        antecedent = frozenset(a for a in concept.intent if not is_outcome_label(a))
+        consequent = concept.intent - antecedent
+        if not antecedent or not consequent:
+            continue
+        full_count = len(concept.extent)
+        ante_count = len(context.extent_of(antecedent))
+        if full_count == 0 or ante_count == 0:
+            continue
+        support = full_count / n
+        confidence = full_count / ante_count
+        if support < min_support or confidence < min_confidence:
+            continue
+        rule = Rule(antecedent=antecedent, consequent=consequent, support=support,
+                    confidence=confidence, provenance=tuple(sorted(concept.extent)))
+        rules[rule.rule_id] = rule
+    return [rules[k] for k in sorted(rules)]
+
+
+def textbook_next_closure(objects, attributes, rows):
+    """Ganter's NextClosure on named sets: the intents in lectic order and
+    the number of closures it computes."""
+    calls = 0
+
+    def closure(attrs):
+        nonlocal calls
+        calls += 1
+        extent = [o for o in objects if attrs <= rows[o]]
+        return frozenset(attributes).intersection(*(rows[o] for o in extent))
+
+    intents = [closure(frozenset())]
+    while True:
+        current = intents[-1]
+        for i in range(len(attributes) - 1, -1, -1):
+            if attributes[i] in current:
+                continue
+            below = frozenset(attributes[:i])
+            candidate = closure((current & below) | {attributes[i]})
+            if candidate & below == current & below:
+                intents.append(candidate)
+                break
+        else:
+            return intents, calls
+
+
+LABELLED_POOL = [
+    "cpu_high", "disk_high", "latency_high", "dns_error", "loss_high", "mem_high",
+    "cause_dns_error_burst", "cause_noisy_neighbor",
+    "resolved_by_flush_dns_cache", "resolved_by_throttle_tenant",
+]
+
+
+@st.composite
+def labelled_contexts(draw):
+    attributes = draw(st.lists(st.sampled_from(LABELLED_POOL), max_size=10, unique=True))
+    n_obj = draw(st.integers(0, 40))
+    masks = draw(st.lists(st.integers(0, 2 ** len(attributes) - 1),
+                          min_size=n_obj, max_size=n_obj))
+    objects = [f"o{i}" for i in range(n_obj)]  # "o10" sorts before "o2"
+    rows = {o: frozenset(a for j, a in enumerate(attributes) if m >> j & 1)
+            for o, m in zip(objects, masks)}
+    return objects, attributes, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_contexts(), st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+       st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+def test_mask_native_mining_matches_frozenset_references(context, min_s, min_c):
+    objects, attributes, rows = context
+    incidence = [(o, a) for o in objects for a in attributes if a in rows[o]]
+    ctx = FormalContext(objects, attributes, incidence)
+    intents, calls = textbook_next_closure(objects, attributes, rows)
+    assert [c.intent for c in ctx.concepts()] == intents
+    assert ctx.closure_calls == calls
+    mined = mine_rules(FormalContext(objects, attributes, incidence), min_s, min_c)
+    assert mined == reference_mine_rules(ctx, min_s, min_c)
+
+
 def test_mine_rules_empty_context():
     assert mine_rules(FormalContext([], [], [])) == []
 

@@ -2,14 +2,16 @@
 
 Each tick's frame must equal a scalar, sample-by-sample recomputation of
 the tick, and the detector's columnar path over the feed's window must
-raise exactly the alerts of its record path over the same records."""
+raise exactly the alerts of its record path over the same records. The
+simulator walks only the faults that can still act; the reference walks
+every fault ever injected."""
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from opsloop.cluster import SIM_STREAM, ClusterSim, FaultScenario, RawEvent, TelemetrySample, build_topology
-from opsloop.config import BASELINES, HEADROOM, METRICS, NOISE_PCT, FaultKind
+from opsloop.config import BASELINES, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
 from opsloop.ingest import TelemetryFeed, detect_anomalies, normalize
 
 from conftest import small_topology_spec, tiny_topology_spec
@@ -25,7 +27,8 @@ class ScalarSim:
     def __init__(self, topology, seed: int, noise_pct: float):
         self.topology, self.seed, self.noise_pct = topology, seed, noise_pct
         self.order = topology.emitting_entities()
-        self.faults: list[list] = []  # [scenario, offsets, emitters, decommission done]
+        # [scenario, offsets, emitters, decommission done, cleared at]
+        self.faults: list[list] = []
         self.removed: set[str] = set()
         self.tick = 0
 
@@ -50,7 +53,14 @@ class ScalarSim:
             for pod in topo.pods_on_node(scen.target):
                 add(pod, "cpu_util")
                 add(pod, "disk_io")
-        self.faults.append([scen, offsets, emitters, False])
+        self.faults.append([scen, offsets, emitters, False, None])
+
+    def clear(self, scen: FaultScenario) -> None:
+        """The fault stops contributing from the next tick on, as when an
+        action clears it between two steps."""
+        for fault in self.faults:
+            if fault[0] == scen:
+                fault[4] = self.tick
 
     def step(self) -> tuple[list[TelemetrySample], list[RawEvent]]:
         tick, events = self.tick, []
@@ -64,9 +74,11 @@ class ScalarSim:
                     self.removed.add(scen.target)
                     self.removed.update(self.topology.pods_on_node(scen.target))
         offsets: dict[tuple[str, str], float] = {}
-        for scen, fault_offsets, emitters, _ in self.faults:
+        for scen, fault_offsets, emitters, _, cleared_at in self.faults:
             end = None if scen.duration is None else scen.start_tick + scen.duration
             if tick < scen.start_tick or (end is not None and tick >= end):
+                continue
+            if cleared_at is not None and tick >= cleared_at:
                 continue
             for key, off in fault_offsets.items():
                 if key[0] not in self.removed:
@@ -176,3 +188,37 @@ def test_columnar_alerts_across_a_removal_inside_the_window(small_topology):
     assert hot[10] == pods and hot[11] == set()
     evidence_ticks = {r.tick for a in seen[10][1] if a.attribute == "cpu_high" for r in a.evidence}
     assert max(evidence_ticks) == 8
+
+
+def test_step_walks_only_the_faults_that_can_still_act(small_topology):
+    # 50 DNS bursts that expire one after another, a noisy neighbour
+    # cleared by its remedy while active, and a decommission.
+    services = small_topology.services
+    faults = [
+        FaultScenario(FaultKind.DNS_ERROR_BURST, services[i % len(services)],
+                      start_tick=i, duration=1 + i % 3, magnitude=0.4)
+        for i in range(50)
+    ]
+    hot = FaultScenario(FaultKind.NOISY_NEIGHBOR, "node-2", start_tick=52, duration=30, magnitude=0.6)
+    gone = FaultScenario(FaultKind.NODE_DECOMMISSION, "node-5", start_tick=58)
+    faults += [hot, gone]
+    sim = ClusterSim(small_topology, seed=11)
+    oracle = ScalarSim(small_topology, 11, NOISE_PCT)
+    for fault in faults:
+        sim.inject(fault)
+        oracle.inject(fault)
+    for tick in range(70):
+        if tick == 56:
+            assert sim.apply_action(REMEDY[FaultKind.NOISY_NEIGHBOR], "node-2").success
+            oracle.clear(hot)
+        frame, events = sim.step()
+        samples, oracle_events = oracle.step()
+        assert list(frame) == samples
+        assert events == oracle_events
+        # Bursts last at most 3 ticks, so at most 3 started ones, the
+        # two later faults and the bursts still to come are walked.
+        assert len(sim._acting) <= 5 + max(0, 49 - tick)
+    assert sim.fault_cleared(hot)
+    assert sim.is_removed("node-5")
+    assert len(sim._faults) == 52
+    assert sim._acting == []
