@@ -20,7 +20,6 @@ seed produce identical streams sample for sample.
 """
 from __future__ import annotations
 
-import copy
 import json
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BASELINES, HEADROOM, METRICS, NOISE_PCT, REMEDY, ActionKind, FaultKind
+from .memory.knowledge import bfs
 
 SIM_STREAM = 0
 
@@ -187,17 +187,7 @@ class ClusterTopology:
         reverse: dict[str, set[str]] = {}
         for caller, callee in self.dependencies:
             reverse.setdefault(callee, set()).add(caller)
-        seen: set[str] = set()
-        frontier = [service]
-        while frontier:
-            nxt: list[str] = []
-            for svc in frontier:
-                for caller in reverse.get(svc, ()):
-                    if caller not in seen and caller != service:
-                        seen.add(caller)
-                        nxt.append(caller)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(set(bfs(service, lambda v: reverse.get(v, ()))) - {service}))
 
     def entity_class(self, entity: str) -> str | None:
         if entity in self.rack_of_node:
@@ -352,9 +342,6 @@ class ClusterSim:
 
     def is_removed(self, entity: str) -> bool:
         return entity in self._removed
-
-    def clone(self) -> "ClusterSim":
-        return copy.deepcopy(self)
 
     # -- fault scripting ----------------------------------------------------
 

@@ -3,10 +3,15 @@
 Assertions are validated against relation signatures (domain and range
 classes) before being stored; rejected triples never enter the graph, so
 the store is sound by construction and `validate_all` re-proves it on
-demand. Subgraph extraction treats triples as undirected edges.
+demand. Triples are append-only, so one incidence index (entity -> the
+triples that touch it), filled on assert, is never invalidated; queries
+with a bound subject or object and subgraph extraction read it instead of
+scanning the graph. Subgraph extraction treats triples as undirected
+edges. `bfs` is the one breadth-first search the package uses.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 KG_FORMAT = "opsloop-kg"
@@ -17,6 +22,26 @@ LITERAL = "literal"
 
 class OntologyError(Exception):
     pass
+
+
+def bfs(
+    start: str, neighbours: Callable[[str], Iterable[str]], limit: int | None = None
+) -> dict[str, int]:
+    """Hop distances from `start` to every vertex within `limit` hops
+    (unbounded when None); `start` itself is at distance 0."""
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for v in frontier:
+            for w in neighbours(v):
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 @dataclass(frozen=True)
@@ -81,11 +106,15 @@ class AssertResult:
     reason: str | None = None
 
 
+_ADDED = AssertResult(accepted=True, added=True)
+
+
 @dataclass
 class KnowledgeGraph:
     ontology: Ontology
     _entities: dict[str, str] = field(default_factory=dict)
     _triples: dict[tuple[str, str, str], Triple] = field(default_factory=dict)
+    _incident: dict[str, list[Triple]] = field(default_factory=dict)
     rules: dict = field(default_factory=dict)  # rule_id -> lattice.Rule
 
     # -- entities -------------------------------------------------------------
@@ -142,17 +171,24 @@ class KnowledgeGraph:
         key = (subject, predicate, obj)
         if key in self._triples:
             return AssertResult(accepted=True, added=False, reason="duplicate")
-        self._triples[key] = Triple(subject, predicate, obj, provenance, tick)
-        return AssertResult(accepted=True, added=True)
+        t = self._triples[key] = Triple(subject, predicate, obj, provenance, tick)
+        self._incident.setdefault(subject, []).append(t)
+        if obj != subject:
+            self._incident.setdefault(obj, []).append(t)
+        return _ADDED
 
     def query(
         self, subject: str | None, predicate: str | None, obj: str | None
     ) -> list[Triple]:
         if subject is None and predicate is None and obj is None:
             raise ValueError("query needs at least one bound position")
+        if subject is None and obj is None:
+            pool = self._triples.values()
+        else:
+            pool = self._incident.get(subject if subject is not None else obj, ())
         out = [
             t
-            for t in self._triples.values()
+            for t in pool
             if (subject is None or t.subject == subject)
             and (predicate is None or t.predicate == predicate)
             and (obj is None or t.object == obj)
@@ -173,29 +209,18 @@ class KnowledgeGraph:
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        adjacency: dict[str, set[str]] = {}
-        incident: dict[str, list[Triple]] = {}
-        for t in self._triples.values():
-            adjacency.setdefault(t.subject, set()).add(t.object)
-            adjacency.setdefault(t.object, set()).add(t.subject)
-            incident.setdefault(t.subject, []).append(t)
-            incident.setdefault(t.object, []).append(t)
-        if entity not in adjacency:
+        incident = self._incident
+        if entity not in incident:
             return []
         limit = max(radius - 1, 0)
-        dist = {entity: 0}
-        frontier = [entity]
-        for depth in range(1, limit + 1):
-            nxt = []
-            for v in frontier:
-                for w in adjacency[v]:
-                    if w not in dist:
-                        dist[w] = depth
-                        nxt.append(w)
-            frontier = nxt
+        dist = bfs(
+            entity,
+            lambda v: (t.object if t.subject == v else t.subject for t in incident[v]),
+            limit,
+        )
         seen: dict[tuple[str, str, str], Triple] = {}
         for v in dist:
-            for t in incident.get(v, ()):
+            for t in incident[v]:
                 seen[t.key()] = t
         far = limit + 1
 
@@ -203,26 +228,6 @@ class KnowledgeGraph:
             return (min(dist.get(t.subject, far), dist.get(t.object, far)), t.key())
 
         return sorted(seen.values(), key=rank)
-
-    def distances_from(self, entity: str, max_hops: int) -> dict[str, int]:
-        """Undirected BFS distances over the stored triples, cut at max_hops."""
-        adjacency: dict[str, set[str]] = {}
-        for t in self._triples.values():
-            adjacency.setdefault(t.subject, set()).add(t.object)
-            adjacency.setdefault(t.object, set()).add(t.subject)
-        dist = {entity: 0}
-        frontier = [entity]
-        depth = 0
-        while frontier and depth < max_hops:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for w in adjacency.get(v, ()):
-                    if w not in dist:
-                        dist[w] = depth
-                        nxt.append(w)
-            frontier = nxt
-        return dist
 
     # -- decommissioning -------------------------------------------------------
 

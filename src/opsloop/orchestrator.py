@@ -1,14 +1,16 @@
 """Finite-state incident loop with a compute budget ledger.
 
-A closed transition table drives each incident through detection,
-enrichment, diagnosis, action selection, execution, verification, logging,
-and periodic learning. Every component call is metered in compute units;
+A closed table of guarded transition rows drives each incident through
+detection, enrichment, diagnosis, action selection, execution,
+verification, logging, and periodic learning. Every component call is metered in compute units;
 once the ledger is exhausted, the very next transition must be
 budget_exceeded into the terminal Escalated state. The full transition
 history is kept as an audit log.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -49,6 +51,7 @@ from .contextpack import BudgetPolicy, IncidentDescriptor, assemble, update_weig
 from .ingest import Alert, TelemetryFeed, TickBatch, detect_anomalies
 from .lattice import DistillReport, RetireCriteria, distill, retire_rules, validated_rules
 from .memory import Episode, ForgetCriteria, Memories
+from .memory.knowledge import bfs
 from .reasoner import ActionPlan, Diagnosis, diagnose, lead_alert_key, make_plan
 
 
@@ -87,19 +90,6 @@ class LoopError(Exception):
     pass
 
 
-_TABLE: dict[tuple[Phase, Event], Phase] = {
-    (Phase.IDLE, Event.ALERT_RAISED): Phase.DETECTING,
-    (Phase.DETECTING, Event.ALERT_RAISED): Phase.ENRICHING,
-    (Phase.ENRICHING, Event.PACK_READY): Phase.DIAGNOSING,
-    (Phase.DIAGNOSING, Event.HYPOTHESES_READY): Phase.SELECTING,
-    (Phase.DIAGNOSING, Event.ABSTAIN): Phase.ESCALATED,
-    (Phase.SELECTING, Event.PLAN_READY): Phase.EXECUTING,
-    (Phase.EXECUTING, Event.ACTION_DONE): Phase.VERIFYING,
-    (Phase.VERIFYING, Event.SYMPTOMS_CLEAR): Phase.LOGGING,
-    (Phase.LEARNING, Event.LEARNING_DONE): Phase.IDLE,
-}
-
-
 @dataclass(frozen=True)
 class OrchestratorState:
     phase: Phase = Phase.IDLE
@@ -108,40 +98,58 @@ class OrchestratorState:
     learning_due: bool = False
 
 
+def _always(state: OrchestratorState) -> bool:
+    return True
+
+
+# (phase, event) -> ordered (guard, target, attempt bump) rows; the first row
+# whose guard holds on the state wins. Pairs not listed are illegal.
+_Row = tuple[Callable[[OrchestratorState], bool], Phase, int]
+_TABLE: dict[tuple[Phase, Event], tuple[_Row, ...]] = {
+    (Phase.IDLE, Event.ALERT_RAISED): ((_always, Phase.DETECTING, 0),),
+    (Phase.DETECTING, Event.ALERT_RAISED): ((_always, Phase.ENRICHING, 0),),
+    (Phase.ENRICHING, Event.PACK_READY): ((_always, Phase.DIAGNOSING, 0),),
+    (Phase.DIAGNOSING, Event.HYPOTHESES_READY): ((_always, Phase.SELECTING, 0),),
+    (Phase.DIAGNOSING, Event.ABSTAIN): ((_always, Phase.ESCALATED, 0),),
+    (Phase.SELECTING, Event.PLAN_READY): ((_always, Phase.EXECUTING, 0),),
+    (Phase.EXECUTING, Event.ACTION_DONE): ((_always, Phase.VERIFYING, 0),),
+    (Phase.VERIFYING, Event.SYMPTOMS_CLEAR): ((_always, Phase.LOGGING, 0),),
+    (Phase.VERIFYING, Event.SYMPTOMS_PERSIST): (
+        (lambda s: s.attempt >= s.escalation_after, Phase.ESCALATED, 0),
+        (_always, Phase.SELECTING, 1),  # retry
+    ),
+    (Phase.LOGGING, Event.EPISODE_LOGGED): (
+        (lambda s: s.learning_due, Phase.LEARNING, 0),
+        (_always, Phase.IDLE, 0),
+    ),
+    (Phase.LEARNING, Event.LEARNING_DONE): ((_always, Phase.IDLE, 0),),
+    **{
+        (phase, Event.BUDGET_EXCEEDED): ((_always, Phase.ESCALATED, 0),)
+        for phase in Phase
+        if phase is not Phase.ESCALATED
+    },
+}
+
+
 def transition(state: OrchestratorState, event: Event) -> OrchestratorState:
     """Pure transition step; raises TransitionError on any pair not in the
     table. Retry and cadence branches depend only on the carried state."""
-    phase = state.phase
-    if event is Event.BUDGET_EXCEEDED:
-        if phase is Phase.ESCALATED:
-            raise TransitionError("budget_exceeded in terminal state Escalated")
-        return replace(state, phase=Phase.ESCALATED)
-    if phase is Phase.VERIFYING and event is Event.SYMPTOMS_PERSIST:
-        if state.attempt >= state.escalation_after:
-            return replace(state, phase=Phase.ESCALATED)
-        return replace(state, phase=Phase.SELECTING, attempt=state.attempt + 1)
-    if phase is Phase.LOGGING and event is Event.EPISODE_LOGGED:
-        return replace(state, phase=Phase.LEARNING if state.learning_due else Phase.IDLE)
-    target = _TABLE.get((phase, event))
-    if target is None:
-        raise TransitionError(
-            f"illegal transition: {phase.value} + {event.value} "
-            f"(attempt {state.attempt})"
-        )
-    return replace(state, phase=target)
+    for guard, target, attempt_bump in _TABLE.get((state.phase, event), ()):
+        if guard(state):
+            return replace(state, phase=target, attempt=state.attempt + attempt_bump)
+    raise TransitionError(
+        f"illegal transition: {state.phase.value} + {event.value} "
+        f"(attempt {state.attempt})"
+    )
 
 
 def legal_transition_triples() -> frozenset[tuple[str, str, str]]:
     """Every (from, event, to) the machine may emit; used by audits."""
-    triples = {(p.value, e.value, t.value) for (p, e), t in _TABLE.items()}
-    triples.add((Phase.VERIFYING.value, Event.SYMPTOMS_PERSIST.value, Phase.SELECTING.value))
-    triples.add((Phase.VERIFYING.value, Event.SYMPTOMS_PERSIST.value, Phase.ESCALATED.value))
-    triples.add((Phase.LOGGING.value, Event.EPISODE_LOGGED.value, Phase.LEARNING.value))
-    triples.add((Phase.LOGGING.value, Event.EPISODE_LOGGED.value, Phase.IDLE.value))
-    for phase in Phase:
-        if phase is not Phase.ESCALATED:
-            triples.add((phase.value, Event.BUDGET_EXCEEDED.value, Phase.ESCALATED.value))
-    return frozenset(triples)
+    return frozenset(
+        (phase.value, event.value, target.value)
+        for (phase, event), rows in _TABLE.items()
+        for _, target, _ in rows
+    )
 
 
 @dataclass
@@ -244,17 +252,7 @@ def decompose(descriptor: IncidentDescriptor, kg) -> list[IncidentDescriptor]:
         callers.setdefault(t.object, set()).add(t.subject)
 
     def blast(service: str) -> int:
-        seen: set[str] = set()
-        frontier = [service]
-        while frontier:
-            nxt = []
-            for svc in frontier:
-                for caller in callers.get(svc, ()):
-                    if caller not in seen and caller != service:
-                        seen.add(caller)
-                        nxt.append(caller)
-            frontier = nxt
-        return 1 + len(seen)
+        return len(bfs(service, lambda v: callers.get(v, ())))
 
     ordered = sorted(services, key=lambda s: (-blast(s), s))
     return [
@@ -355,6 +353,8 @@ class AgentLoop:
         def advance(event: Event) -> None:
             if ledger.exhausted:
                 fire(Event.BUDGET_EXCEEDED)
+                if run.escalation_reason is None:
+                    run.escalation_reason = "budget exhausted"
                 raise _BudgetStop()
             fire(event)
 
@@ -377,7 +377,7 @@ class AgentLoop:
         resolved = False
         descriptor: IncidentDescriptor | None = None
 
-        try:
+        with suppress(_BudgetStop):
             # Idle: watch the feed until the detector raises.
             waited = 0
             while not alerts:
@@ -451,47 +451,42 @@ class AgentLoop:
             if not diag.hypotheses:
                 run.escalation_reason = "diagnosis abstained"
                 advance(Event.ABSTAIN)  # Diagnosing -> Escalated
-                raise _BudgetStop()  # reuse the finalize path; not a budget stop
-            advance(Event.HYPOTHESES_READY)  # Diagnosing -> Selecting
+            else:
+                advance(Event.HYPOTHESES_READY)  # Diagnosing -> Selecting
+                suggestions = [item.payload for item in pack.section("runbooks")]
+                plan = make_plan(
+                    diag.hypotheses, suggestions, alerts,
+                    escalation_after=params.escalation_after,
+                )
+                run.plan = plan
 
-            suggestions = [item.payload for item in pack.section("runbooks")]
-            plan = make_plan(
-                diag.hypotheses, suggestions, alerts,
-                escalation_after=params.escalation_after,
-            )
-            run.plan = plan
+                # Selecting / Executing / Verifying retry loop.
+                while True:
+                    advance(Event.PLAN_READY)  # Selecting -> Executing
+                    entry = plan.entry_for_attempt(state.attempt)
+                    if entry is not None:
+                        for action_kind, target in entry.actions:
+                            result = self._execute_action(action_kind, target, ledger)
+                            run.action_results.append((entry.runbook_id, result))
+                    advance(Event.ACTION_DONE)  # Executing -> Verifying
 
-            # Selecting / Executing / Verifying retry loop.
-            while True:
-                advance(Event.PLAN_READY)  # Selecting -> Executing
-                entry = plan.entry_for_attempt(state.attempt)
-                if entry is not None:
-                    for action_kind, target in entry.actions:
-                        result = self._execute_action(action_kind, target, ledger)
-                        run.action_results.append((entry.runbook_id, result))
-                advance(Event.ACTION_DONE)  # Executing -> Verifying
-
-                cleared = False
-                for _ in range(params.verify_ticks):
-                    batch = self.feed.step()
-                    if self._stop_met(batch, plan.stop):
-                        cleared = True
+                    cleared = False
+                    for _ in range(params.verify_ticks):
+                        batch = self.feed.step()
+                        if self._stop_met(batch, plan.stop):
+                            cleared = True
+                            break
+                    if cleared:
+                        advance(Event.SYMPTOMS_CLEAR)  # Verifying -> Logging
+                        resolved = True
                         break
-                if cleared:
-                    advance(Event.SYMPTOMS_CLEAR)  # Verifying -> Logging
-                    resolved = True
-                    break
-                at_limit = state.attempt >= params.escalation_after
-                advance(Event.SYMPTOMS_PERSIST)
-                if at_limit:
-                    run.escalation_reason = (
-                        f"retries exhausted after {params.escalation_after} attempts"
-                    )
-                    break
+                    advance(Event.SYMPTOMS_PERSIST)  # -> Selecting, or Escalated at the limit
+                    if state.phase is Phase.ESCALATED:
+                        run.escalation_reason = (
+                            f"retries exhausted after {params.escalation_after} attempts"
+                        )
+                        break
 
-        except _BudgetStop:
-            if run.escalation_reason is None:
-                run.escalation_reason = "budget exhausted"
         # Logging happens for every closed incident; the machine only visits
         # the Logging phase on the resolved path.
         episode = None
@@ -504,15 +499,12 @@ class AgentLoop:
         if state.phase is Phase.LOGGING:
             learning_due = self.episodes_since_learning >= params.learning_cadence
             state = replace(state, learning_due=learning_due)
-            try:
+            with suppress(_BudgetStop):
                 advance(Event.EPISODE_LOGGED)
                 if state.phase is Phase.LEARNING:
                     report = self._learn(ledger)
                     run.learning = report
                     advance(Event.LEARNING_DONE)
-            except _BudgetStop:
-                if run.escalation_reason is None:
-                    run.escalation_reason = "budget exhausted"
         run.final_phase = state.phase.value
         return run
 

@@ -25,7 +25,7 @@ from .config import (
     FaultKind,
 )
 from .contextpack import ContextPack, task_descriptor
-from .memory.knowledge import Triple
+from .memory.knowledge import Triple, bfs
 from .memory.runbooks import Runbook
 
 
@@ -112,22 +112,6 @@ def _adjacency(triples: list[Triple]) -> dict[str, set[str]]:
     return adj
 
 
-def _bfs_distances(adj: dict[str, set[str]], start: str) -> dict[str, int]:
-    if start not in adj:
-        return {start: 0}
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(adj.get(v, ())):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def _triple_key(triple: Triple) -> str:
     return f"kg_subgraph:{triple.subject}|{triple.predicate}|{triple.object}"
 
@@ -202,7 +186,7 @@ def diagnose(
         return Diagnosis((), compute_units=0.0, path="abstain")
     adj = _adjacency(triples)
     center = descriptor.affected_entity or descriptor.affected_service
-    dist = _bfs_distances(adj, center)
+    dist = bfs(center, lambda v: adj.get(v, ()))
     visited = len(dist)
     # Alert entities outside the packed neighborhood still carry evidence;
     # they score as one hop beyond the farthest reachable entity.

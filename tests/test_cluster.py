@@ -290,14 +290,6 @@ def test_stream_round_trip(tiny_topology):
         parse_stream_line('{"tick": 0}')
 
 
-def test_clone_diverges_independently(tiny_topology):
-    sim = ClusterSim(tiny_topology, seed=4)
-    sim.step()
-    twin = sim.clone()
-    assert sim.step() == twin.step()
-    assert sim.tick == twin.tick
-
-
 def test_metrics_cover_expected_surface(tiny_topology):
     sim = ClusterSim(tiny_topology, seed=4)
     samples, _ = sim.step()

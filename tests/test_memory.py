@@ -1,13 +1,17 @@
 """Memory tiers: working buffer, episodic store, knowledge graph, runbooks."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opsloop.cluster import build_topology
 from opsloop.config import SYMPTOM_VOCAB
+from opsloop.contextpack import IncidentDescriptor
 from opsloop.memory import (
     Episode,
     EpisodicStore,
@@ -21,7 +25,8 @@ from opsloop.memory import (
     default_ontology,
     embed_features,
 )
-from opsloop.memory.knowledge import Ontology, OntologyError
+from opsloop.memory.knowledge import LITERAL, Ontology, OntologyError, Triple
+from opsloop.orchestrator import decompose
 
 
 # -- short-term buffer -----------------------------------------------------------
@@ -274,15 +279,6 @@ def test_subgraph_radius_semantics_and_order():
     assert [t.predicate for t in kg.subgraph("r1", 2)] == ["member_of", "uplink", "runs_on"]
 
 
-def test_distances_from():
-    kg = fresh_kg()
-    kg.assert_triple("p1", "runs_on", "n1")
-    kg.assert_triple("n1", "member_of", "r1")
-    kg.assert_triple("r1", "uplink", "sw1")
-    assert kg.distances_from("p1", 2) == {"p1": 0, "n1": 1, "r1": 2}
-    assert kg.distances_from("p1", 9)["sw1"] == 3
-
-
 def test_export_tsv_shape():
     kg = fresh_kg()
     kg.assert_triple("p1", "runs_on", "n1", provenance="bootstrap")
@@ -306,6 +302,175 @@ def test_bootstrap_from_topology(small_topology):
     # remedies are learned, never bootstrapped
     assert kg.query(None, "remedied_by", None) == []
     assert kg.validate_all() == []
+
+
+# -- indexed graph against plain references ------------------------------------------
+
+_POOL = {
+    "Rack": ("r1", "r2"),
+    "ToRSwitch": ("sw1", "sw2"),
+    "Node": ("n1", "n2", "n3"),
+    "Pod": ("p1", "p2", "p3", "p4"),
+    "Service": ("s1", "s2", "s3"),
+    "FaultKind": ("f1",),
+    "Action": ("a1",),
+    "Policy": ("pol1",),
+    "AttributeSet": ("as1",),
+}
+_ENTITIES = [e for pool in _POOL.values() for e in pool]
+_LITERALS = ["7", "12"]
+_RELATIONS = default_ontology().relations
+
+
+@st.composite
+def triple_scripts(draw):
+    """Asserts in order: mostly ontology-valid, some with any class or an
+    unknown relation (usually rejected), repeats of earlier asserts, and a
+    depends_on self-loop."""
+    script = []
+    for _ in range(draw(st.integers(0, 40))):
+        predicate = draw(st.sampled_from(sorted(_RELATIONS) + ["parent_of"]))
+        domain, rng = _RELATIONS.get(predicate, ("Pod", "Node"))
+        if draw(st.integers(0, 4)) == 0:
+            subject = draw(st.sampled_from(_ENTITIES))
+            obj = draw(st.sampled_from(_ENTITIES + _LITERALS))
+        else:
+            subject = draw(st.sampled_from(_POOL[domain]))
+            obj = draw(st.sampled_from(_LITERALS if rng == LITERAL else _POOL[rng]))
+        script.append((subject, predicate, obj))
+    repeats = draw(st.lists(st.sampled_from(script), max_size=5)) if script else []
+    script.insert(draw(st.integers(0, len(script))), ("s1", "depends_on", "s1"))
+    return script + repeats
+
+
+def _asserted(script) -> tuple[KnowledgeGraph, dict[tuple[str, str, str], Triple]]:
+    """The graph after `script`, and the triples it must hold (first assert wins)."""
+    kg = KnowledgeGraph(ontology=default_ontology())
+    classes = {e: cls for cls, pool in _POOL.items() for e in pool}
+    for e, cls in classes.items():
+        kg.register_entity(e, cls)
+    kept: dict[tuple[str, str, str], Triple] = {}
+    for i, (s, p, o) in enumerate(script):
+        sig = _RELATIONS.get(p)
+        ok = (
+            sig is not None and classes.get(s) == sig[0]
+            and (sig[1] == LITERAL or classes.get(o) == sig[1])
+        )
+        result = kg.assert_triple(s, p, o, provenance=f"a{i}", tick=i)
+        assert (result.accepted, result.added) == (ok, ok and (s, p, o) not in kept)
+        if result.added:
+            kept[(s, p, o)] = Triple(s, p, o, f"a{i}", i)
+    return kg, kept
+
+
+def _rebuild_subgraph(triples, entity: str, radius: int) -> list[Triple]:
+    """`KnowledgeGraph.subgraph` as it was before the incidence index:
+    adjacency and incidence rebuilt on every call."""
+    adjacency: dict[str, set[str]] = {}
+    incident: dict[str, list[Triple]] = {}
+    for t in triples:
+        adjacency.setdefault(t.subject, set()).add(t.object)
+        adjacency.setdefault(t.object, set()).add(t.subject)
+        incident.setdefault(t.subject, []).append(t)
+        incident.setdefault(t.object, []).append(t)
+    if entity not in adjacency:
+        return []
+    limit = max(radius - 1, 0)
+    dist = {entity: 0}
+    frontier = [entity]
+    for depth in range(1, limit + 1):
+        nxt = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    seen = {}
+    for v in dist:
+        for t in incident.get(v, ()):
+            seen[t.key()] = t
+    far = limit + 1
+    return sorted(seen.values(), key=lambda t: (
+        min(dist.get(t.subject, far), dist.get(t.object, far)), t.key()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_scripts())
+def test_indexed_query_equals_a_linear_scan(script):
+    kg, kept = _asserted(script)
+    assert len(kg) == len(kept) and kg.validate_all() == []
+    names = _ENTITIES + _LITERALS + ["ghost"]
+    predicates = sorted(_RELATIONS) + ["ghost"]
+    patterns = [
+        *((s, None, None) for s in names),
+        *((None, p, None) for p in predicates),
+        *((None, None, o) for o in names),
+        *((s, p, None) for s, p in itertools.product(names, predicates)),
+        *((s, None, o) for s, o in itertools.product(names, names)),
+        *((None, p, o) for p, o in itertools.product(predicates, names)),
+        *script,
+        ("s1", "depends_on", "ghost"),
+    ]
+    for s, p, o in patterns:
+        expected = sorted(
+            (t for t in kept.values()
+             if (s is None or t.subject == s)
+             and (p is None or t.predicate == p)
+             and (o is None or t.object == o)),
+            key=Triple.key,
+        )
+        assert kg.query(s, p, o) == expected, (s, p, o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_scripts())
+def test_indexed_subgraph_equals_the_rebuilding_reference(script):
+    kg, kept = _asserted(script)
+    for entity in _ENTITIES + _LITERALS + ["ghost"]:
+        for radius in range(5):
+            assert kg.subgraph(entity, radius) == _rebuild_subgraph(
+                kept.values(), entity, radius), (entity, radius)
+
+
+def _reference_callers(edges, service: str) -> set[str]:
+    """Every service with a call path into `service`, one set-wide sweep per hop."""
+    found: set[str] = set()
+    frontier = {service}
+    while frontier:
+        frontier = {caller for caller, callee in edges if callee in frontier} - found
+        found |= frontier
+    return found - {service}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_callers_and_decompose_order_equal_a_reference_bfs(data):
+    services = [f"svc-{i}" for i in range(6)]
+    pairs = [(a, b) for a in services for b in services if a != b]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    topo = build_topology({
+        "racks": [{"id": "r1", "switch": "sw1", "nodes": [{
+            "id": "n1", "generation": "gen-7",
+            "pods": [{"id": f"p-{s}", "service": s} for s in services],
+        }]}],
+        "dependencies": [list(e) for e in edges],
+    })
+    callers = {s: _reference_callers(edges, s) for s in services}
+    for s in services:
+        assert topo.callers_of(s) == tuple(sorted(callers[s])), s
+
+    kg = KnowledgeGraph(ontology=default_ontology())
+    bootstrap_from_topology(kg, topo)
+    kg.assert_triple("svc-0", "depends_on", "svc-0")  # self-loops do not count
+    affected = data.draw(st.permutations(services).map(lambda p: p[:3]))
+    subtasks = decompose(IncidentDescriptor(
+        incident_id="inc-1", affected_service=affected[0], affected_entity="p-svc-0",
+        symptom_attributes=frozenset({"latency_high"}), max_severity=2, start_tick=0,
+        affected_services=tuple(affected),
+    ), kg)
+    expected = sorted(affected, key=lambda s: (-len(callers[s]), s))
+    assert [t.affected_service for t in subtasks] == expected
 
 
 # -- runbooks -----------------------------------------------------------------------

@@ -94,20 +94,53 @@ def test_budget_exceeded_from_any_live_phase():
         transition(OrchestratorState(phase=Phase.ESCALATED), Event.BUDGET_EXCEEDED)
 
 
+# Every (from, event, to) the machine may emit, pinned as a literal.
+LEGAL_TRIPLES = frozenset({
+    ("Detecting", "alert_raised", "Enriching"),
+    ("Detecting", "budget_exceeded", "Escalated"),
+    ("Diagnosing", "abstain", "Escalated"),
+    ("Diagnosing", "budget_exceeded", "Escalated"),
+    ("Diagnosing", "hypotheses_ready", "Selecting"),
+    ("Enriching", "budget_exceeded", "Escalated"),
+    ("Enriching", "pack_ready", "Diagnosing"),
+    ("Executing", "action_done", "Verifying"),
+    ("Executing", "budget_exceeded", "Escalated"),
+    ("Idle", "alert_raised", "Detecting"),
+    ("Idle", "budget_exceeded", "Escalated"),
+    ("Learning", "budget_exceeded", "Escalated"),
+    ("Learning", "learning_done", "Idle"),
+    ("Logging", "budget_exceeded", "Escalated"),
+    ("Logging", "episode_logged", "Idle"),
+    ("Logging", "episode_logged", "Learning"),
+    ("Selecting", "budget_exceeded", "Escalated"),
+    ("Selecting", "plan_ready", "Executing"),
+    ("Verifying", "budget_exceeded", "Escalated"),
+    ("Verifying", "symptoms_clear", "Logging"),
+    ("Verifying", "symptoms_persist", "Escalated"),
+    ("Verifying", "symptoms_persist", "Selecting"),
+})
+
+
 def test_every_phase_event_pair_is_legal_or_raises():
-    legal = legal_transition_triples()
+    produced = set()
     for phase in Phase:
         for event in Event:
-            for attempt, after in [(1, 3), (3, 3)]:
+            for attempt in (1, 2, 3):
                 for due in (False, True):
                     state = OrchestratorState(phase=phase, attempt=attempt,
-                                              escalation_after=after, learning_due=due)
+                                              escalation_after=3, learning_due=due)
                     try:
                         nxt = transition(state, event)
                     except TransitionError as exc:
-                        assert phase.value in str(exc) or "terminal" in str(exc)
+                        assert f"{phase.value} + {event.value}" in str(exc)
                         continue
-                    assert (phase.value, event.value, nxt.phase.value) in legal
+                    triple = (phase.value, event.value, nxt.phase.value)
+                    retry = triple == ("Verifying", "symptoms_persist", "Selecting")
+                    assert nxt.attempt == attempt + retry, triple
+                    assert nxt.learning_due == due and nxt.escalation_after == 3
+                    produced.add(triple)
+    assert len(LEGAL_TRIPLES) == 22
+    assert produced == legal_transition_triples() == LEGAL_TRIPLES
 
 
 def test_illegal_transition_message_names_the_pair():
