@@ -4,10 +4,11 @@ The simulated fleet is a small rack/node/pod/service topology. Each tick
 every live node, pod, and service emits the six standard metrics at its
 baseline plus uniform +/-2% sampling noise; active faults add deterministic
 offsets to the entities in their blast set and may emit discrete events.
-The simulator keeps every fault it was given, for actions and
-`fault_cleared`, but a tick walks only the faults that can still act:
-a fault leaves that list once it has expired or been cleared, and a
-decommission once it is done.
+The simulator keeps every fault it was given, but a tick and an action
+walk only the faults that can still act: a fault leaves that list once it
+has expired or been cleared, and a decommission once it is done.
+`fault_cleared` looks a scenario up by value in a dict, so its cost does
+not grow with the number of faults injected.
 
 A tick is one `TickFrame`: a float64 array with a row per emitting entity
 (in the static order of `ClusterTopology.emitting_entities`) and a column
@@ -314,6 +315,28 @@ class _ActiveFault:
         )
 
 
+def check_scenario(topology: ClusterTopology, scenario: FaultScenario, now_tick: int = 0) -> FaultKind:
+    """Raise `SimError` unless `scenario` can be injected at `now_tick`:
+    a target of the class its kind hits, a start not in the past, and for
+    a fault other than a decommission a positive duration and a magnitude
+    in (0, 1]. Returns the fault kind."""
+    kind = FaultKind(scenario.kind)
+    want = _FAULT_TARGET_CLASS[kind]
+    have = topology.entity_class(scenario.target)
+    if have is None:
+        raise UnknownEntityError(f"fault targets unknown entity {scenario.target!r}")
+    if have != want:
+        raise ScenarioError(f"{kind.value} targets a {want}, got {have} {scenario.target!r}")
+    if scenario.start_tick < now_tick:
+        raise ScenarioError(f"fault start {scenario.start_tick} is in the past (tick {now_tick})")
+    if kind is not FaultKind.NODE_DECOMMISSION:
+        if scenario.duration is None or scenario.duration <= 0:
+            raise ScenarioError(f"{kind.value} needs a positive duration")
+        if not 0.0 < scenario.magnitude <= 1.0:
+            raise ScenarioError("fault magnitude must be in (0, 1]")
+    return kind
+
+
 class ClusterSim:
     """Discrete-tick simulator. step() emits one tick of telemetry + events."""
 
@@ -323,8 +346,11 @@ class ClusterSim:
         self._noise_pct = float(noise_pct)
         self._tick = 0
         self._faults: list[_ActiveFault] = []
-        # The faults that can still act, in injection order: all `step` walks.
+        # The faults that can still act, in injection order: all that `step`
+        # and `apply_action` walk.
         self._acting: list[_ActiveFault] = []
+        # The first fault injected for each scenario value, for `fault_cleared`.
+        self._by_scenario: dict[FaultScenario, _ActiveFault] = {}
         self._removed: set[str] = set()
         # Noise is drawn over the full static entity list every tick so that
         # removing an entity never shifts another entity's stream.
@@ -346,27 +372,11 @@ class ClusterSim:
     # -- fault scripting ----------------------------------------------------
 
     def inject(self, scenario: FaultScenario) -> None:
-        kind = FaultKind(scenario.kind)
-        want = _FAULT_TARGET_CLASS[kind]
-        have = self.topology.entity_class(scenario.target)
-        if have is None:
-            raise UnknownEntityError(f"fault target does not exist: {scenario.target!r}")
-        if have != want:
-            raise ScenarioError(
-                f"{kind.value} targets a {want}, got {have} {scenario.target!r}"
-            )
-        if scenario.start_tick < self._tick:
-            raise ScenarioError(
-                f"fault start {scenario.start_tick} is in the past (tick {self._tick})"
-            )
-        if kind is not FaultKind.NODE_DECOMMISSION:
-            if scenario.duration is None or scenario.duration <= 0:
-                raise ScenarioError(f"{kind.value} needs a positive duration")
-            if not 0.0 < scenario.magnitude <= 1.0:
-                raise ScenarioError("fault magnitude must be in (0, 1]")
+        kind = check_scenario(self.topology, scenario, self._tick)
         fault = _ActiveFault(scenario, kind, *self._blast(scenario))
         self._faults.append(fault)
         self._acting.append(fault)
+        self._by_scenario.setdefault(scenario, fault)
 
     def _blast(self, scen: FaultScenario) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """Resolve the scenario's blast set into frame cells, the offset of
@@ -440,7 +450,9 @@ class ClusterSim:
                 f"action {action.value} targets decommissioned entity {target!r}"
             )
         cleared = []
-        for fault in self._faults:
+        # A cleared or expired fault has left `_acting`, and a finished
+        # decommission's node is in `_removed`, rejected above.
+        for fault in self._acting:
             scen = fault.scenario
             if fault.cleared_at is not None:
                 continue
@@ -456,10 +468,8 @@ class ClusterSim:
         return ActionResult(action.value, target, self._tick, False, "no matching active fault")
 
     def fault_cleared(self, scenario: FaultScenario) -> bool:
-        for fault in self._faults:
-            if fault.scenario == scenario:
-                return fault.cleared_at is not None
-        return False
+        fault = self._by_scenario.get(scenario)
+        return fault is not None and fault.cleared_at is not None
 
 
 # -- stream serialization -----------------------------------------------------

@@ -17,7 +17,6 @@ yields the same alerts.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from .config import (
     EWMA_ALPHA,
     METRICS,
     SEVERITY_BUCKETS,
-    category_of_attribute,
     metric_sigma,
 )
 
@@ -61,17 +59,6 @@ class Alert:
     attribute: str
     severity: int
     evidence: tuple[UnifiedRecord, ...]
-
-    def to_record(self) -> UnifiedRecord:
-        return UnifiedRecord(
-            tick=self.tick,
-            entity=self.entity,
-            source="alert",
-            category=category_of_attribute(self.attribute).value,
-            attribute=self.attribute,
-            value=None,
-            severity=self.severity,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,22 +129,6 @@ def normalize(raw: TelemetrySample | RawEvent) -> UnifiedRecord:
             severity=EVENT_SEVERITY[raw.kind],
         )
     raise TypeError(f"cannot normalize {type(raw).__name__}")
-
-
-def record_to_json(record: UnifiedRecord) -> str:
-    return json.dumps(
-        {
-            "tick": record.tick,
-            "entity": record.entity,
-            "source": record.source,
-            "category": record.category,
-            "attribute": record.attribute,
-            "value": record.value,
-            "severity": record.severity,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 def _severity_from_sigma(deviation: float, sigma: float) -> int:
@@ -321,6 +292,3 @@ class TelemetryFeed:
 
     def window(self) -> FeedWindow:
         return FeedWindow(self._ring)
-
-    def latest(self) -> list[UnifiedRecord]:
-        return list(self._ring[-1]) if self._ring else []

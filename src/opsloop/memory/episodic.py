@@ -7,12 +7,20 @@ so every coordinate is a dyadic rational and cosine similarities compare
 bit-for-bit across implementations that sum in any order.
 
 Retrieval is exact cosine top-k with a total tie order; forgetting
-tombstones episodes in place so the audit trail survives.
+tombstones episodes in place so the audit trail survives. Live episodes
+are grouped by their exact vector, each group kept in tie order, so a
+search scores each distinct vector once and merges the groups: its cost
+follows the number of distinct vectors and k, not the length of the
+history. Insertion does no grouping work: the next search or tombstone
+files the episodes inserted since the last one into their groups.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -131,6 +139,11 @@ class EpisodicStore:
     def __init__(self):
         self._episodes: dict[str, Episode] = {}
         self._tombstoned: set[str] = set()
+        # Live episodes by vector bytes, each group sorted by
+        # (-end_tick, episode_id). `_episodes` only grows, so the episodes
+        # inserted since the last filing are its last len - `_filed` entries.
+        self._groups: dict[bytes, list[tuple[int, str, Episode]]] = {}
+        self._filed = 0
 
     def __len__(self) -> int:
         return len(self._episodes)
@@ -144,6 +157,21 @@ class EpisodicStore:
         if episode.feature_vector is None:
             episode.feature_vector = embed_episode(episode)
         self._episodes[episode.episode_id] = episode
+
+    def _file(self) -> None:
+        for ep in islice(reversed(self._episodes.values()), len(self._episodes) - self._filed):
+            group = self._groups.setdefault(ep.feature_vector.tobytes(), [])
+            bisect.insort(group, (-ep.end_tick, ep.episode_id, ep))
+        self._filed = len(self._episodes)
+
+    def _tombstone(self, ep: Episode) -> None:
+        self._file()
+        key = ep.feature_vector.tobytes()
+        group = self._groups[key]
+        group.pop(bisect.bisect_left(group, (-ep.end_tick, ep.episode_id)))
+        if not group:
+            del self._groups[key]
+        self._tombstoned.add(ep.episode_id)
 
     def get(self, episode_id: str) -> Episode:
         return self._episodes[episode_id]
@@ -165,11 +193,12 @@ class EpisodicStore:
         """
         if k < 1:
             return []
-        scored = [
-            (ep, cosine(query, ep.feature_vector)) for ep in self.live_episodes()
-        ]
-        scored.sort(key=lambda pair: (-pair[1], -pair[0].end_tick, pair[0].episode_id))
-        return scored[:k]
+        self._file()
+        ranked = []
+        for group in self._groups.values():
+            sim = cosine(query, group[0][2].feature_vector)
+            ranked.append([(-sim, neg_end, eid, ep) for neg_end, eid, ep in islice(group, k)])
+        return [(ep, -neg_sim) for neg_sim, _, _, ep in islice(heapq.merge(*ranked), k)]
 
     def forget(self, criteria: ForgetCriteria, now_tick: int = 0) -> int:
         """Tombstone matching live episodes; returns how many were hit."""
@@ -183,7 +212,7 @@ class EpisodicStore:
             if criteria.incident is not None and ep.episode_id == criteria.incident:
                 matched = True
             if matched:
-                self._tombstoned.add(ep.episode_id)
+                self._tombstone(ep)
                 hit += 1
         return hit
 
@@ -214,7 +243,8 @@ class EpisodicStore:
         for line in lines[1:]:
             row = json.loads(line)
             tomb = row.pop("tombstoned", False)
-            store.insert(Episode.from_dict(row))
+            episode = Episode.from_dict(row)
+            store.insert(episode)
             if tomb:
-                store._tombstoned.add(row["episode_id"])
+                store._tombstone(episode)
         return store

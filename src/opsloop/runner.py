@@ -13,7 +13,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cluster import ClusterSim, ClusterTopology, FaultScenario, build_topology
+from .cluster import (
+    ClusterSim,
+    ClusterTopology,
+    FaultScenario,
+    SimError,
+    build_topology,
+    check_scenario,
+)
 from .config import BUFFER_CAPACITY, FaultKind
 from .ingest import TelemetryFeed
 from .lattice import rules_jsonl
@@ -44,6 +51,16 @@ class ScenarioTemplate:
     magnitude: float = 0.5
     duration: int = 12
     lead: int = 2
+
+    def at(self, start_tick: int) -> FaultScenario:
+        """The fault this template injects, starting at `start_tick`."""
+        return FaultScenario(
+            kind=self.kind,
+            target=self.target,
+            start_tick=start_tick,
+            duration=None if self.kind is FaultKind.NODE_DECOMMISSION else self.duration,
+            magnitude=self.magnitude,
+        )
 
 
 @dataclass
@@ -112,10 +129,12 @@ def config_from_dict(raw: dict) -> RunConfig:
             )
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"scenario[{i}] invalid: {exc}") from None
-        if topology.entity_class(tmpl.target) is None:
-            raise ConfigError(f"scenario[{i}] targets unknown entity {tmpl.target!r}")
         if tmpl.lead < 1:
             raise ConfigError(f"scenario[{i}] lead must be >= 1")
+        try:
+            check_scenario(topology, tmpl.at(tmpl.lead))
+        except SimError as exc:
+            raise ConfigError(f"scenario[{i}] {exc}") from None
         scenario.append(tmpl)
     if episodes > 0 and not scenario:
         raise ConfigError("episodes > 0 needs a non-empty scenario")
@@ -350,13 +369,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         scenario = None
         if config.scenario:
             tmpl = config.scenario[i % len(config.scenario)]
-            scenario = FaultScenario(
-                kind=tmpl.kind,
-                target=tmpl.target,
-                start_tick=sim.tick + tmpl.lead,
-                duration=None if tmpl.kind is FaultKind.NODE_DECOMMISSION else tmpl.duration,
-                magnitude=tmpl.magnitude,
-            )
+            scenario = tmpl.at(sim.tick + tmpl.lead)
             sim.inject(scenario)
         episode_run = loop.run_episode(_episode_id(i))
         runs.append(episode_run)

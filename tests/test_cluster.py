@@ -2,9 +2,14 @@
 remediation, decommissioning, and stream serialization."""
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsloop.cluster import (
+    ActionResult,
     ClusterSim,
     DecommissionedEntityError,
     FaultScenario,
@@ -17,7 +22,7 @@ from opsloop.cluster import (
     parse_stream_line,
     stream_lines,
 )
-from opsloop.config import BASELINES, HEADROOM, METRICS, ActionKind, FaultKind
+from opsloop.config import BASELINES, HEADROOM, METRICS, REMEDY, ActionKind, FaultKind
 
 from conftest import tiny_topology_spec
 
@@ -255,6 +260,108 @@ def test_action_on_unknown_or_removed_entity_raises(tiny_topology):
         sim.apply_action(ActionKind.DRAIN_NODE, "ghost")
     with pytest.raises(DecommissionedEntityError):
         sim.apply_action(ActionKind.DRAIN_NODE, "n1")
+
+
+def _reference_apply_action(sim: ClusterSim, kind: ActionKind, target: str) -> ActionResult:
+    """`ClusterSim.apply_action` as it was before it walked only the faults
+    that can still act: every fault ever injected is tried."""
+    action = ActionKind(kind)
+    if target not in sim._all_entities:
+        raise UnknownEntityError(f"action target does not exist: {target!r}")
+    if target in sim._removed:
+        raise DecommissionedEntityError(
+            f"action {action.value} targets decommissioned entity {target!r}"
+        )
+    cleared = []
+    for fault in sim._faults:
+        scen = fault.scenario
+        if fault.cleared_at is not None:
+            continue
+        if scen.start_tick > sim.tick:
+            continue
+        if scen.duration is not None and sim.tick >= scen.start_tick + scen.duration:
+            continue
+        if REMEDY[fault.kind] is action and scen.target == target:
+            fault.cleared_at = sim.tick
+            cleared.append(fault.kind.value)
+    if cleared:
+        return ActionResult(action.value, target, sim.tick, True, "cleared " + ", ".join(cleared))
+    return ActionResult(action.value, target, sim.tick, False, "no matching active fault")
+
+
+def _reference_fault_cleared(sim: ClusterSim, scenario: FaultScenario) -> bool:
+    """`ClusterSim.fault_cleared` as a walk: the first equal fault decides."""
+    for fault in sim._faults:
+        if fault.scenario == scenario:
+            return fault.cleared_at is not None
+    return False
+
+
+_ACTION_TICKS = 14
+_TARGETS = {
+    FaultKind.DNS_ERROR_BURST: ["svc-back", "svc-front"],
+    FaultKind.TOR_PACKET_LOSS: ["sw1"],
+    FaultKind.INGRESS_THROTTLE: ["svc-back", "svc-front"],
+    FaultKind.NOISY_NEIGHBOR: ["n1", "n2"],
+    FaultKind.NODE_DECOMMISSION: ["n1", "n2"],
+}
+_ANY_TARGET = ["n1", "n2", "p-front-1", "p-back-1", "svc-back", "svc-front", "sw1", "r1", "ghost"]
+
+
+@st.composite
+def action_scripts(draw):
+    """(tick, op) pairs in the order they run: an op is a scenario to inject
+    or an (action, target) pair. Each fault gets up to two remedies, from a
+    tick before its start to one after its end, so remedies land at the
+    start tick, on a cleared fault, on an expired fault, and as drain_node
+    on a decommission pending or done. Some faults get an equal twin,
+    injected at its own tick; random actions and targets come on top."""
+    scripted = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(list(FaultKind)))
+        start = draw(st.integers(0, _ACTION_TICKS - 2))
+        duration = None if kind is FaultKind.NODE_DECOMMISSION else draw(st.integers(1, 4))
+        scen = FaultScenario(kind, draw(st.sampled_from(_TARGETS[kind])), start, duration,
+                             draw(st.sampled_from([0.5, 0.8])))
+        twins = [scen] + [dataclasses.replace(scen) for _ in range(draw(st.integers(0, 1)))]
+        scripted += [(draw(st.integers(0, start)), twin) for twin in twins]
+        for offset in draw(st.lists(st.integers(-1, (duration or 2) + 1), max_size=2)):
+            scripted.append((max(0, start + offset), (REMEDY[kind], scen.target)))
+    scripted += draw(st.lists(st.tuples(
+        st.integers(0, _ACTION_TICKS - 1),
+        st.tuples(st.sampled_from(list(ActionKind)), st.sampled_from(_ANY_TARGET)),
+    ), max_size=4))
+    return sorted(draw(st.permutations(scripted)), key=lambda pair: pair[0])
+
+
+def _outcome(apply, kind, target):
+    try:
+        return apply(kind, target)
+    except (UnknownEntityError, DecommissionedEntityError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(action_scripts())
+def test_actions_and_fault_cleared_equal_a_walk_over_every_fault(script):
+    topology = build_topology(tiny_topology_spec())
+    sim, ref = ClusterSim(topology, seed=3), ClusterSim(topology, seed=3)
+    scenarios = [op for _, op in script if isinstance(op, FaultScenario)]
+    scenarios.append(FaultScenario(FaultKind.NOISY_NEIGHBOR, "n1", 99, duration=1))  # never injected
+    by_tick: dict[int, list] = {}
+    for tick, op in script:
+        by_tick.setdefault(tick, []).append(op)
+    for tick in range(script[-1][0] + 2):
+        for op in by_tick.get(tick, ()):
+            if isinstance(op, FaultScenario):
+                sim.inject(op)
+                ref.inject(op)
+            else:
+                assert _outcome(sim.apply_action, *op) == _outcome(
+                    functools.partial(_reference_apply_action, ref), *op)
+            for scen in scenarios:
+                assert sim.fault_cleared(scen) == _reference_fault_cleared(ref, scen)
+        assert sim.step() == ref.step()
 
 
 # -- decommission ----------------------------------------------------------------

@@ -2,13 +2,14 @@
 EWMA arithmetic (alpha 0.3, start at baseline, threshold 3 sigma)."""
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from opsloop.cluster import ClusterSim, RawEvent, TelemetrySample
 from opsloop.config import BASELINES, EWMA_ALPHA
-from opsloop.ingest import TelemetryFeed, UnifiedRecord, detect_anomalies, normalize, record_to_json
+from opsloop.ingest import TelemetryFeed, UnifiedRecord, detect_anomalies, normalize
 
 
 def tele(tick: int, entity: str, metric: str, value: float) -> UnifiedRecord:
@@ -60,6 +61,22 @@ def test_normalize_rejects_bad_input():
         normalize(tele(0, "e", "cpu_util", 0.3))
     with pytest.raises(TypeError):
         normalize("not a record")
+
+
+def record_to_json(record: UnifiedRecord) -> str:
+    return json.dumps(
+        {
+            "tick": record.tick,
+            "entity": record.entity,
+            "source": record.source,
+            "category": record.category,
+            "attribute": record.attribute,
+            "value": record.value,
+            "severity": record.severity,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 def test_record_json_is_canonical():
@@ -173,13 +190,19 @@ def test_alerts_sorted_by_entity_then_attribute():
 # -- feed ------------------------------------------------------------------------
 
 
+def latest(feed: TelemetryFeed) -> list[UnifiedRecord]:
+    """The records of the feed's newest tick."""
+    batches = feed.window().batches
+    return list(batches[-1]) if batches else []
+
+
 def test_feed_window_slides(tiny_topology):
     feed = TelemetryFeed(ClusterSim(tiny_topology, seed=2), window_ticks=3)
     for _ in range(5):
         feed.step()
     ticks = {rec.tick for rec in feed.window()}
     assert ticks == {2, 3, 4}
-    assert {rec.tick for rec in feed.latest()} == {4}
+    assert {rec.tick for rec in latest(feed)} == {4}
 
 
 def test_feed_quiet_cluster_never_alerts(tiny_topology):

@@ -201,6 +201,96 @@ def test_export_import_round_trip_preserves_tombstones():
         EpisodicStore.import_jsonl(["{}"])
 
 
+def _reference_search(store: EpisodicStore, query: np.ndarray, k: int) -> list[tuple[Episode, float]]:
+    """`EpisodicStore.search` as it was before grouping: score every live
+    episode, then sort them all."""
+    if k < 1:
+        return []
+    scored = [(ep, cosine(query, ep.feature_vector)) for ep in store.live_episodes()]
+    scored.sort(key=lambda pair: (-pair[1], -pair[0].end_tick, pair[0].episode_id))
+    return scored[:k]
+
+
+# (symptoms, duration, severity): few profiles, so vector groups are large;
+# the last is the zero vector.
+_PROFILES = [
+    ({"cpu_high", "disk_high"}, 8, 3),
+    ({"cpu_high", "disk_high"}, 16, 3),
+    ({"dns_error"}, 12, 3),
+    ({"latency_high"}, 8, 2),
+    (set(), 0, 0),
+]
+_NODES = ["n1", "n2", "n3"]
+
+
+@st.composite
+def store_scripts(draw):
+    """Inserts (ids may repeat, end ticks tie), forgets of each kind,
+    export/import round trips and searches with k from 0 to n + 2."""
+    ops = []
+    for _ in range(draw(st.integers(0, 40))):
+        op = draw(st.sampled_from(["insert"] * 4 + ["forget", "round_trip", "search", "search"]))
+        if op == "insert":
+            symptoms, duration, severity = draw(st.sampled_from(_PROFILES))
+            end = draw(st.integers(20, 24))
+            entities = draw(st.frozensets(st.sampled_from(_NODES), max_size=2))
+            ops.append(("insert", _episode(f"ep-{draw(st.integers(0, 30)):02d}", symptoms,
+                                           end - duration, end, severity, entities=entities)))
+        elif op == "forget":
+            criteria = draw(st.sampled_from([
+                ForgetCriteria(ttl_ticks=draw(st.integers(0, 4))),
+                ForgetCriteria(entities=draw(st.frozensets(st.sampled_from(_NODES), min_size=1))),
+                ForgetCriteria(incident=f"ep-{draw(st.integers(0, 30)):02d}"),
+            ]))
+            ops.append(("forget", criteria, draw(st.integers(20, 30))))
+        elif op == "search":
+            symptoms, duration, severity = draw(st.sampled_from(_PROFILES))
+            ops.append(("search", embed_features(symptoms, duration, severity)))
+        else:
+            ops.append(("round_trip",))
+    return ops
+
+
+@settings(max_examples=100, deadline=None)
+@given(store_scripts(), st.data())
+def test_grouped_search_equals_the_full_sort(ops, data):
+    store = EpisodicStore()
+    inserted: set[str] = set()
+    live: dict[str, Episode] = {}
+    for op in ops:
+        if op[0] == "insert":
+            ep = op[1]
+            if ep.episode_id in inserted:
+                with pytest.raises(ValueError, match="duplicate"):
+                    store.insert(ep)
+            else:
+                store.insert(ep)
+                inserted.add(ep.episode_id)
+                live[ep.episode_id] = ep
+        elif op[0] == "forget":
+            criteria, now = op[1], op[2]
+            hit = {
+                eid for eid, ep in live.items()
+                if (criteria.ttl_ticks is not None and now - ep.end_tick > criteria.ttl_ticks)
+                or (criteria.entities is not None and ep.entities & criteria.entities)
+                or eid == criteria.incident
+            }
+            assert store.forget(criteria, now_tick=now) == len(hit)
+            for eid in hit:
+                del live[eid]
+        elif op[0] == "search":
+            query, k = op[1], data.draw(st.integers(0, len(store) + 2))
+            got = store.search(query, k)
+            want = _reference_search(store, query, k)
+            assert [(ep.episode_id, sim.hex()) for ep, sim in got] == [
+                (ep.episode_id, sim.hex()) for ep, sim in want]
+            assert all(a is b for (a, _), (b, _) in zip(got, want))
+        else:
+            store = EpisodicStore.import_jsonl(store.export_jsonl())
+            live = {eid: store.get(eid) for eid in live}
+        assert {ep.episode_id for ep in store.live_episodes()} == set(live)
+
+
 # -- knowledge graph ---------------------------------------------------------------
 
 

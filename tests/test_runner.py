@@ -114,6 +114,25 @@ def test_config_rejects_a_fault_on_a_decommissioned_node():
     assert config_from_dict(tiny_run_dict(episodes=2, scenario=[noisy, decommission])).episodes == 2
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"magnitude": 0}, r"scenario\[0\] fault magnitude must be in \(0, 1\]"),
+        ({"magnitude": 1.5}, r"scenario\[0\] fault magnitude must be in \(0, 1\]"),
+        ({"duration": 0}, r"scenario\[0\] dns_error_burst needs a positive duration"),
+        ({"target": "node-1"}, r"scenario\[0\] dns_error_burst targets a Service, got Node 'node-1'"),
+    ],
+    ids=["magnitude_0", "magnitude_1.5", "duration_0", "dns_burst_on_a_node"],
+)
+def test_config_rejects_what_inject_would_reject(dns_config_path, change, message):
+    # Each of these once loaded, then raised inside run() and left an
+    # empty run directory.
+    raw = json.loads(dns_config_path.read_text())
+    raw["scenario"][0].update(change)
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
+
+
 def test_policy_must_bind_to_known_service(tmp_path):
     raw = tiny_run_dict(policies=[{"id": "pol-x", "applies_to": ["svc-ghost"]}])
     cfg = config_from_dict(raw)
