@@ -199,6 +199,7 @@ def assemble(
     candidates.sort(key=lambda c: order[c.section])  # stable: keeps in-section rank
 
     items: dict[str, list[PackItem]] = {s: [] for s in SECTION_ORDER}
+    caps = {s: policy.effective_cap(s) for s in SECTION_ORDER}
     trace: list[TraceEntry] = []
     section_cost: dict[str, int] = {s: 0 for s in SECTION_ORDER}
     total = 0
@@ -207,8 +208,7 @@ def assemble(
         if stopped:
             trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "pack budget exhausted"))
             continue
-        cap = policy.effective_cap(cand.section)
-        if section_cost[cand.section] + cand.cost > cap:
+        if section_cost[cand.section] + cand.cost > caps[cand.section]:
             trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "section cap"))
             continue
         if total + cand.cost > policy.pack_budget:

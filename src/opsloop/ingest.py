@@ -7,13 +7,10 @@ of the last W ticks. Discrete events are rare, so each becomes a
 only as evidence of a series that fired, or when a caller iterates a
 batch or the window.
 
-The detector scores each (entity, metric) series with an exponentially
-weighted moving average. Given the feed's window it runs the recurrence
-on whole frames, tick by tick; given a list of records it groups and
-scores them one series at a time. Both paths compute the same floats in
-the same order, so they raise equal alerts on the same window. The
-detector is a pure function of the window: re-scoring the same window
-yields the same alerts.
+The detector scores each (entity, metric) series of the feed's window
+with an exponentially weighted moving average, running the recurrence on
+whole frames, tick by tick. The detector is a pure function of the
+window: re-scoring the same window yields the same alerts.
 """
 from __future__ import annotations
 
@@ -188,43 +185,26 @@ def _event_alerts(records: Iterable[UnifiedRecord]) -> list[Alert]:
     return alerts
 
 
-def _score_records(
-    window: Iterable[UnifiedRecord], alpha: float, k: float, min_ticks: int, noise_pct: float | None,
+def detect_anomalies(
+    window: FeedWindow,
+    *,
+    alpha: float = EWMA_ALPHA,
+    k: float = DETECT_K,
+    min_ticks: int = DETECT_WINDOW,
+    noise_pct: float | None = None,
 ) -> list[Alert]:
-    """The per-series path over any list of records. Records of one series
-    may share a tick; the series is ordered by tick, stably."""
-    series: dict[tuple[str, str], list[UnifiedRecord]] = {}
-    events = []
-    for rec in window:
-        if rec.source == "telemetry":
-            series.setdefault((rec.entity, rec.attribute), []).append(rec)
-        else:
-            events.append(rec)
+    """Score the feed's window and return alerts, sorted by (entity, attribute).
 
-    alerts: list[Alert] = []
-    for (_, metric), recs in series.items():
-        recs = sorted(recs, key=lambda r: r.tick)
-        if len({r.tick for r in recs}) < min_ticks:
-            continue
-        baseline = BASELINES[metric]
-        sigma = _sigma(metric, noise_pct)
-        ewma = baseline
-        for rec in recs:
-            ewma = alpha * rec.value + (1.0 - alpha) * ewma
-        deviation = abs(ewma - baseline)
-        fired = deviation > k * sigma if sigma > 0.0 else deviation > 0.0
-        if fired:
-            alerts.append(_metric_alert(recs, deviation, sigma))
-    return alerts + _event_alerts(events)
+    Metric series need at least `min_ticks` live ticks; the EWMA starts at
+    the metric baseline and an alert fires when the smoothed value ends the
+    window more than k sigma away from baseline. Severity escalates at the
+    3/5/8 sigma buckets. Events with nonzero severity alert directly. Every
+    alert cites the window records that support it.
 
-
-def _score_frames(
-    window: FeedWindow, alpha: float, k: float, min_ticks: int, noise_pct: float | None,
-) -> list[Alert]:
-    """The columnar path over the feed's window: the same recurrence, run on
-    whole frames tick by tick. An entity's series is its live ticks (a
-    prefix of the window, since removal is permanent). Records are built
-    only for the series that fire."""
+    The recurrence runs on whole frames, tick by tick. An entity's series
+    is its live ticks (a prefix of the window, since removal is permanent).
+    Records are built only for the series that fire.
+    """
     batches = window.batches
     alerts: list[Alert] = []
     if batches:
@@ -248,30 +228,7 @@ def _score_frames(
                 for tick, value, is_live in zip(ticks, values[:, i, j].tolist(), live[:, i]) if is_live
             ]
             alerts.append(_metric_alert(recs, float(deviation[i, j]), float(sigma[j])))
-    return alerts + _event_alerts(rec for b in batches for rec in b.events)
-
-
-def detect_anomalies(
-    window: FeedWindow | list[UnifiedRecord],
-    *,
-    alpha: float = EWMA_ALPHA,
-    k: float = DETECT_K,
-    min_ticks: int = DETECT_WINDOW,
-    noise_pct: float | None = None,
-) -> list[Alert]:
-    """Score a sliding window and return alerts, sorted by (entity, attribute).
-
-    Metric series need at least `min_ticks` distinct ticks; the EWMA starts
-    at the metric baseline and an alert fires when the smoothed value ends
-    the window more than k sigma away from baseline. Severity escalates at
-    the 3/5/8 sigma buckets. Events with nonzero severity alert directly.
-    Every alert cites the window records that support it.
-
-    The feed's `FeedWindow` is scored column-wise; a list of records, one
-    series at a time. Both give equal alerts on the same window.
-    """
-    score = _score_frames if isinstance(window, FeedWindow) else _score_records
-    alerts = score(window, alpha, k, min_ticks, noise_pct)
+    alerts += _event_alerts(rec for b in batches for rec in b.events)
     alerts.sort(key=lambda a: (a.entity, a.attribute))
     return alerts
 

@@ -1,31 +1,43 @@
 """Concept-lattice rule learning over episode histories.
 
 Episodes become a binary object/attribute context (symptoms plus outcome
-labels). Closed attribute sets are enumerated with the NextClosure
-algorithm in lectic order, association rules are read off the closed
-intents with exact support/confidence counting, and surviving rules are
-checked against the knowledge graph before injection. Retirement handles
-conditional forgetting: rules whose evidence died with decommissioned
-hardware, lost confidence, or aged out without reconfirmation.
+labels). Closed attribute sets are the context's concept lattice,
+association rules are read off the closed intents with exact
+support/confidence counting, and surviving rules are checked against the
+knowledge graph before injection. Retirement handles conditional
+forgetting: rules whose evidence died with decommissioned hardware, lost
+confidence, or aged out without reconfirmation.
 
 Internally a context stores incidence as per-attribute and per-object
 int bitmasks; attribute index 0 is the lectically most significant
-position. Enumeration and mining stay on masks from start to finish:
-`_concept_masks` yields (extent, intent) mask pairs, each NextClosure
-candidate's extent is one AND of a prefix extent with an attribute
-extent, and a candidate is rejected by the Close-by-One canonicity test
-(some attribute below it, outside the current intent, holds its whole
-extent) before its intent is computed. Names and frozensets are built only
-for what leaves the module: `concepts()` and the rules that survive the
-thresholds.
+position. A context keeps its lattice once computed: the intents in
+ascending lectic order, each intent's extent mask and the count below.
+Names and frozensets are built only for what leaves the module:
+`concepts()` and the rules that survive the thresholds.
+
+NextClosure seeds a lattice. Each candidate's extent is one AND of a
+prefix extent with an attribute extent, and a candidate is rejected by
+the Close-by-One canonicity test (some attribute below it, outside the
+current intent, holds its whole extent) before its intent is computed.
+Insertion extends a lattice: between learning passes the history only
+grows, so `context_from_episodes` extends the last context it built and
+moves that context's lattice into the new one, adding each new row the
+way Godin, Missaoui & Alaoui (1995) add an object.
 
 `closure_calls` counts the candidate closures NextClosure examines, one
 per candidate attribute tried, whatever the test rejects cheaply. That
-count is a learning pass's `ill` charge.
+count is a learning pass's `ill` charge. It follows from the lattice
+alone: from intent A, NextClosure tries every attribute outside A at or
+above the lowest index where A and its lectic successor differ. So an
+inserted lattice carries the count NextClosure would make, summed over
+lectic neighbours, without running it.
 """
 from __future__ import annotations
 
+import bisect
+import copy
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -51,6 +63,31 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _lectic_key(width: int):
+    """A sort key for masks over `width` attributes in lectic order: the
+    bits reversed, so that attribute 0 is the most significant."""
+    spec = f"0{width}b"
+    return lambda mask: int(format(mask, spec)[::-1], 2)
+
+
+def _tries(a: int, b: int, full: int) -> int:
+    """The candidates NextClosure tries from intent `a` to reach its lectic
+    successor `b`: the attributes outside `a` (of `full`) at or above the
+    lowest index where the two differ."""
+    d = a ^ b
+    return (~a & full & -(d & -d)).bit_count()
+
+
+@dataclass
+class _Lattice:
+    """A context's concepts: the intents in ascending lectic order, the
+    extent mask of each, and the candidates NextClosure tries to list them."""
+
+    intents: list[int]
+    extents: dict[int, int]
+    closure_calls: int
 
 
 @dataclass(frozen=True)
@@ -90,6 +127,7 @@ class FormalContext:
         self._all_objects = (1 << len(self.objects)) - 1
         self._all_attrs = (1 << len(self.attributes)) - 1
         self.closure_calls = 0
+        self._lattice: _Lattice | None = None
 
     # -- mask plumbing ---------------------------------------------------------
 
@@ -149,9 +187,19 @@ class FormalContext:
 
     # -- concept enumeration -----------------------------------------------------
 
-    def _concept_masks(self) -> Iterator[tuple[int, int]]:
+    def _concept_masks(self) -> list[tuple[int, int]]:
         """(extent, intent) masks of all concepts, intents in ascending
-        lectic order: NextClosure, with each candidate computed on masks.
+        lectic order. Each call adds the lattice's NextClosure count to
+        `closure_calls`, as listing the lattice afresh would."""
+        lattice = self._lattice
+        if lattice is None:
+            lattice = self._lattice = self._next_closure()
+        self.closure_calls += lattice.closure_calls
+        extents = lattice.extents
+        return [(extents[intent], intent) for intent in lattice.intents]
+
+    def _next_closure(self) -> _Lattice:
+        """The lattice by NextClosure, with each candidate computed on masks.
 
         From intent A, NextClosure tries each attribute i not in A, highest
         index first, as the candidate closure of (A below i) + {i}; the
@@ -161,18 +209,21 @@ class FormalContext:
         the candidate is canonical unless some attribute j < i outside A
         holds that whole extent (the Close-by-One test). Only a canonical
         candidate's intent is computed. Every candidate tried adds 1 to
-        `closure_calls`, as a full closure per candidate would."""
+        the count, as a full closure per candidate would."""
         n = len(self.attributes)
         attr_ext = self._attr_extents
         # missing[j]: the objects without attribute j, so that an extent E
         # lies inside attribute j's extent exactly when E & missing[j] is 0.
         missing = [self._all_objects ^ e for e in attr_ext]
-        self.closure_calls += 1
+        calls = 1
         extent = self._all_objects
         intent = self._intent_mask(extent)
+        intents: list[int] = []
+        extents: dict[int, int] = {}
         prefix_ext = [0] * n
         while True:
-            yield extent, intent
+            intents.append(intent)
+            extents[intent] = extent
             outside: list[int] = []  # attributes not in the intent, ascending
             ext = self._all_objects
             for i in range(n):
@@ -183,7 +234,7 @@ class FormalContext:
                     prefix_ext[i] = ext
             for k in range(len(outside) - 1, -1, -1):
                 i = outside[k]
-                self.closure_calls += 1
+                calls += 1
                 cand = prefix_ext[i] & attr_ext[i]
                 for j in outside[:k]:
                     if not cand & missing[j]:
@@ -199,7 +250,53 @@ class FormalContext:
                     extent = cand
                     break
             else:
-                return
+                return _Lattice(intents, extents, calls)
+
+    def _insert(self, bit: int, row: int) -> None:
+        """Add the object `bit` with intent `row` to the lattice (Godin's
+        insertion); the attribute extents already hold it. The intents
+        inside `row` are the old intents among the intersections of each
+        intent with `row`, and they gain the object. The other intersections
+        become intents, each placed in lectic order, and the count trades
+        its neighbours' term for the two through it."""
+        lattice = self._lattice
+        intents, extents = lattice.intents, lattice.extents
+        key, full = _lectic_key(len(self.attributes)), self._all_attrs
+        for intent in {intent & row for intent in intents}:
+            if intent in extents:
+                extents[intent] |= bit
+                continue
+            extents[intent] = self._extent_mask(intent)
+            i = bisect.bisect(intents, key(intent), key=key)
+            after = intents[i]  # never past the end: the full set is last
+            calls = _tries(intent, after, full)
+            if i:
+                before = intents[i - 1]
+                calls += _tries(before, intent, full) - _tries(before, after, full)
+            lattice.closure_calls += calls
+            intents.insert(i, intent)
+
+    def _extended(self, rows: dict[str, int]) -> FormalContext:
+        """This context with `rows` (new object name -> intent mask over the
+        same attributes) appended. The new context takes this one's lattice,
+        if it has one, and inserts each row into it; this context computes
+        its lattice again if it is asked for it."""
+        new = copy.copy(self)
+        new.objects = self.objects + tuple(rows)
+        new._obj_index = dict(self._obj_index)
+        new._attr_extents = self._attr_extents.copy()
+        new._obj_intents = self._obj_intents + list(rows.values())
+        new.closure_calls = 0
+        new._lattice, self._lattice = self._lattice, None
+        for oi, (obj, row) in enumerate(rows.items(), start=len(self.objects)):
+            bit = 1 << oi
+            new._obj_index[obj] = oi
+            for ai in _bits(row):
+                new._attr_extents[ai] |= bit
+            new._all_objects |= bit
+            if new._lattice is not None:
+                new._insert(bit, row)
+        return new
 
     def concepts(self) -> list[Concept]:
         """All formal concepts, intents in ascending lectic order.
@@ -258,27 +355,77 @@ class FormalContext:
         return cls(objects, attributes, incidence)
 
 
+def _episode_row(ep, vocab_set: set[str]) -> set[str]:
+    """An episode's attributes: its symptoms, which must be in the
+    vocabulary, plus its cause_*/resolved_by_* outcome labels."""
+    attrs = set(ep.symptom_attributes)
+    bad = attrs - vocab_set
+    if bad:
+        raise ContextError(
+            f"episode {ep.episode_id!r} has symptoms outside the vocabulary: {sorted(bad)}"
+        )
+    if ep.root_cause_label:
+        attrs.add(ep.root_cause_label)
+    for action, _target, success in ep.actions:
+        if success:
+            attrs.add(resolved_label(action))
+    return attrs
+
+
+# The last mining context built: (vocab, its episodes sorted by id, context).
+# Extending it relies on an episode's id, symptoms, label and actions never
+# being written once a pass has read them; today only `EpisodicStore.insert`
+# writes to an `Episode`, and it writes `feature_vector`. The slot is shared
+# by every caller in the process and is not guarded for concurrent calls.
+_last: tuple[tuple[str, ...], list, FormalContext] | None = None
+
+
+def _extend_last(ordered: list, vocab: tuple[str, ...], vocab_set: set[str]) -> FormalContext | None:
+    """The last context extended by the episodes past its own, or None when
+    the vocabulary differs, the episodes do not start with the last ones
+    (same objects, same order), or a new episode brings an attribute or an
+    id the last context already has."""
+    if _last is None:
+        return None
+    last_vocab, last_ordered, last = _last
+    done = len(last_ordered)
+    if vocab != last_vocab or len(ordered) < done or not all(map(operator.is_, last_ordered, ordered)):
+        return None
+    attr_index = last._attr_index
+    rows: dict[str, int] = {}
+    for ep in ordered[done:]:
+        mask = 0
+        for attr in _episode_row(ep, vocab_set):
+            if attr not in attr_index:
+                return None
+            mask |= 1 << attr_index[attr]
+        rows[ep.episode_id] = mask
+    if len(rows) != len(ordered) - done or any(obj in last._obj_index for obj in rows):
+        return None
+    return last._extended(rows)
+
+
 def context_from_episodes(episodes: list, vocab: tuple[str, ...]) -> FormalContext:
-    """Build the mining context: one object per episode, attributes are the
-    episode's symptoms plus cause_*/resolved_by_* outcome labels."""
+    """Build the mining context: one object per episode (by id), attributes
+    are the episode's symptoms plus cause_*/resolved_by_* outcome labels.
+
+    When the episodes, sorted by id, are the last call's episodes followed
+    by new ones with no new attribute, under the same vocabulary, the last
+    context is extended and its lattice moved into the new one. Anything
+    else (a dropped episode, a new attribute, another history) rebuilds."""
+    global _last
+    ordered = sorted(episodes, key=lambda e: e.episode_id)
     vocab_set = set(vocab)
-    rows: dict[str, set[str]] = {}
-    for ep in sorted(episodes, key=lambda e: e.episode_id):
-        attrs = set(ep.symptom_attributes)
-        bad = attrs - vocab_set
-        if bad:
-            raise ContextError(
-                f"episode {ep.episode_id!r} has symptoms outside the vocabulary: {sorted(bad)}"
-            )
-        if ep.root_cause_label:
-            attrs.add(ep.root_cause_label)
-        for action, _target, success in ep.actions:
-            if success:
-                attrs.add(resolved_label(action))
-        rows[ep.episode_id] = attrs
-    attributes = sorted(set().union(*rows.values())) if rows else []
-    incidence = [(obj, attr) for obj, attrs in rows.items() for attr in sorted(attrs)]
-    return FormalContext(rows.keys(), attributes, incidence)
+    context = _extend_last(ordered, vocab, vocab_set)
+    if context is None:
+        rows = {ep.episode_id: _episode_row(ep, vocab_set) for ep in ordered}
+        attributes = sorted(set().union(*rows.values())) if rows else []
+        incidence = [(obj, attr) for obj, attrs in rows.items() for attr in sorted(attrs)]
+        context = FormalContext(rows.keys(), attributes, incidence)
+        if _last is not None:
+            _last[2]._lattice = None  # one lattice alive at a time
+    _last = (vocab, ordered, context)
+    return context
 
 
 # -- rules ---------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Shared fixtures: a small three-rack topology and config paths."""
+"""Shared fixtures: a small three-rack topology and config paths, and the
+record-list detector that the columnar one is checked against."""
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
+
+from opsloop.config import BASELINES, DETECT_K, DETECT_WINDOW, EWMA_ALPHA
+from opsloop.ingest import Alert, UnifiedRecord, _event_alerts, _metric_alert, _sigma
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -70,3 +75,41 @@ def forgetting_config_path() -> Path:
 @pytest.fixture
 def mixed_config_path() -> Path:
     return CONFIG_DIR / "mixed_faults.json"
+
+
+def detect_records(
+    window: Iterable[UnifiedRecord],
+    *,
+    alpha: float = EWMA_ALPHA,
+    k: float = DETECT_K,
+    min_ticks: int = DETECT_WINDOW,
+    noise_pct: float | None = None,
+) -> list[Alert]:
+    """`detect_anomalies` over any list of records, one series at a time:
+    the reference for the columnar detector. Records of one series may
+    share a tick; the series is ordered by tick, stably, and needs
+    `min_ticks` distinct ticks."""
+    series: dict[tuple[str, str], list[UnifiedRecord]] = {}
+    events = []
+    for rec in window:
+        if rec.source == "telemetry":
+            series.setdefault((rec.entity, rec.attribute), []).append(rec)
+        else:
+            events.append(rec)
+    alerts: list[Alert] = []
+    for (_, metric), recs in series.items():
+        recs = sorted(recs, key=lambda r: r.tick)
+        if len({r.tick for r in recs}) < min_ticks:
+            continue
+        baseline = BASELINES[metric]
+        sigma = _sigma(metric, noise_pct)
+        ewma = baseline
+        for rec in recs:
+            ewma = alpha * rec.value + (1.0 - alpha) * ewma
+        deviation = abs(ewma - baseline)
+        fired = deviation > k * sigma if sigma > 0.0 else deviation > 0.0
+        if fired:
+            alerts.append(_metric_alert(recs, deviation, sigma))
+    alerts += _event_alerts(events)
+    alerts.sort(key=lambda a: (a.entity, a.attribute))
+    return alerts

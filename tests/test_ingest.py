@@ -1,5 +1,9 @@
 """Normalization and detector behavior, checked against hand-computed
-EWMA arithmetic (alpha 0.3, start at baseline, threshold 3 sigma)."""
+EWMA arithmetic (alpha 0.3, start at baseline, threshold 3 sigma).
+
+Windows written as record lists go to the record-list reference
+(`conftest.detect_records`), which the telemetry-plane tests hold equal to
+the columnar detector; the feed's own windows go to `detect_anomalies`."""
 from __future__ import annotations
 
 import json
@@ -7,9 +11,11 @@ import math
 
 import pytest
 
-from opsloop.cluster import ClusterSim, RawEvent, TelemetrySample
-from opsloop.config import BASELINES, EWMA_ALPHA
+from opsloop.cluster import ClusterSim, FaultScenario, RawEvent, TelemetrySample
+from opsloop.config import BASELINES, EWMA_ALPHA, FaultKind
 from opsloop.ingest import TelemetryFeed, UnifiedRecord, detect_anomalies, normalize
+
+from conftest import detect_records
 
 
 def tele(tick: int, entity: str, metric: str, value: float) -> UnifiedRecord:
@@ -95,7 +101,7 @@ def test_single_blip_below_threshold_stays_quiet():
     # 0.147 * 4.0 = 0.588 < 3 sigma = 0.6928
     window = latency_window([20.0, 20.0, 24.0, 20.0, 20.0])
     assert abs(ewma_final([20, 20, 24, 20, 20], 20.0) - 20.0) < 3 * SIGMA
-    assert detect_anomalies(window) == []
+    assert detect_records(window) == []
 
 
 def test_single_blip_above_threshold_alerts_with_the_blip_as_evidence():
@@ -103,7 +109,7 @@ def test_single_blip_above_threshold_alerts_with_the_blip_as_evidence():
     window = latency_window([20.0, 20.0, 25.0, 20.0, 20.0])
     deviation = abs(ewma_final([20, 20, 25, 20, 20], 20.0) - 20.0)
     assert 3 * SIGMA < deviation < 5 * SIGMA
-    alerts = detect_anomalies(window)
+    alerts = detect_records(window)
     assert len(alerts) == 1
     alert = alerts[0]
     assert alert.entity == "svc-a"
@@ -121,7 +127,7 @@ def test_sustained_offsets_hit_severity_buckets():
         expected = 3 if ratio > 8 else 2 if ratio > 5 else 1
         assert expected == severity
         window = latency_window([20.0 + d] * 5)
-        alerts = detect_anomalies(window)
+        alerts = detect_records(window)
         assert len(alerts) == 1
         assert alerts[0].severity == severity
         # every sample clears the 2-sigma evidence floor
@@ -130,32 +136,39 @@ def test_sustained_offsets_hit_severity_buckets():
 
 def test_short_series_is_ignored():
     window = latency_window([26.0] * 4)  # only 4 distinct ticks
-    assert detect_anomalies(window) == []
+    assert detect_records(window) == []
     window = latency_window([26.0] * 5)
-    assert len(detect_anomalies(window)) == 1
+    assert len(detect_records(window)) == 1
 
 
 def test_duplicate_ticks_do_not_count_as_history():
     window = latency_window([26.0] * 5)
     window += [tele(4, "svc-a", "net_latency_ms", 26.0)]  # same tick again
     assert len({r.tick for r in window}) == 5
-    assert len(detect_anomalies(window)) == 1
+    assert len(detect_records(window)) == 1
 
 
 def test_zero_sigma_metric_fires_on_any_deviation():
     quiet = [tele(i, "p1", "pod_restarts", 0.0) for i in range(5)]
-    assert detect_anomalies(quiet) == []
+    assert detect_records(quiet) == []
     spiky = quiet[:4] + [tele(4, "p1", "pod_restarts", 1.0)]
-    alerts = detect_anomalies(spiky)
+    alerts = detect_records(spiky)
     assert len(alerts) == 1
     assert alerts[0].attribute == "restarts_high"
     assert alerts[0].severity == 3
     assert [rec.value for rec in alerts[0].evidence] == [1.0]
 
 
-def test_detector_is_pure():
-    window = latency_window([25.0] * 5)
-    assert detect_anomalies(window) == detect_anomalies(window)
+def test_detector_is_pure(tiny_topology):
+    sim = ClusterSim(tiny_topology, seed=2)
+    sim.inject(FaultScenario(FaultKind.NOISY_NEIGHBOR, "n1", start_tick=0, duration=20, magnitude=0.7))
+    feed = TelemetryFeed(sim, window_ticks=5)
+    for _ in range(8):
+        feed.step()
+    window = feed.window()
+    alerts = detect_anomalies(window)
+    assert alerts
+    assert detect_anomalies(window) == alerts
 
 
 # -- event alerts -------------------------------------------------------------------
@@ -163,14 +176,14 @@ def test_detector_is_pure():
 
 def test_events_alert_directly_with_max_severity():
     window = [event(1, "svc-a", "dns_error"), event(3, "svc-a", "dns_error")]
-    alerts = detect_anomalies(window)
+    alerts = detect_records(window)
     assert len(alerts) == 1
     assert (alerts[0].attribute, alerts[0].severity, alerts[0].tick) == ("dns_error", 3, 3)
     assert len(alerts[0].evidence) == 2
 
 
 def test_zero_severity_events_do_not_alert():
-    assert detect_anomalies([event(1, "svc-a", "config_change")]) == []
+    assert detect_records([event(1, "svc-a", "config_change")]) == []
 
 
 def test_alerts_sorted_by_entity_then_attribute():
@@ -179,7 +192,7 @@ def test_alerts_sorted_by_entity_then_attribute():
         + latency_window([26.0] * 5, entity="svc-a")
         + [event(2, "svc-a", "dns_error")]
     )
-    alerts = detect_anomalies(window)
+    alerts = detect_records(window)
     assert [(a.entity, a.attribute) for a in alerts] == [
         ("svc-a", "dns_error"),
         ("svc-a", "latency_high"),

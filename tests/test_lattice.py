@@ -1,4 +1,5 @@
-"""Concept lattice: derivation laws, NextClosure enumeration, rule lifecycle.
+"""Concept lattice: derivation laws, NextClosure enumeration, incremental
+passes, rule lifecycle.
 
 Oracles here are independent of the implementation: concepts come from a
 power-set sweep that closes every attribute subset, order is checked with a
@@ -456,6 +457,105 @@ def test_mask_native_mining_matches_frozenset_references(context, min_s, min_c):
     assert ctx.closure_calls == calls
     mined = mine_rules(FormalContext(objects, attributes, incidence), min_s, min_c)
     assert mined == reference_mine_rules(ctx, min_s, min_c)
+
+
+# -- incremental passes ------------------------------------------------------------------
+
+BASE_SYMPTOMS = ("cpu_high", "disk_high", "latency_high", "dns_error")
+RESERVE_SYMPTOMS = ("loss_high", "mem_high")  # held back for new-attribute steps
+WIDE_VOCAB = BASE_SYMPTOMS + RESERVE_SYMPTOMS
+NARROW_VOCAB = WIDE_VOCAB[:-1]  # an episode with mem_high falls outside it
+CAUSES = (None, "cause_dns_error_burst", "cause_noisy_neighbor")
+ACTIONS = ("flush_dns_cache", "throttle_tenant")
+
+
+@st.composite
+def drawn_episode(draw, eid, symptoms=BASE_SYMPTOMS, extra=frozenset()):
+    """An episode over `labelled_contexts`-style rows: symptoms, at most one
+    cause label, and actions whose success makes a resolved_by_* label."""
+    chosen = draw(st.sets(st.sampled_from(symptoms))) | extra
+    actions = tuple((a, "t", draw(st.booleans()))
+                    for a in draw(st.lists(st.sampled_from(ACTIONS), max_size=2, unique=True)))
+    return _episode(eid, chosen, cause=draw(st.sampled_from(CAUSES)), actions=actions)
+
+
+def episode_row(ep) -> frozenset[str]:
+    labels = {"resolved_by_" + a for a, _target, ok in ep.actions if ok}
+    if ep.root_cause_label:
+        labels.add(ep.root_cause_label)
+    return ep.symptom_attributes | labels
+
+
+def expected_concepts(episodes, vocab, min_s, min_c):
+    """A fresh context of the same rows, with its concepts, rules and csv,
+    or None when some symptom is outside `vocab`. Concepts and the closure
+    count are checked against the textbook NextClosure on the way."""
+    if any(ep.symptom_attributes - set(vocab) for ep in episodes):
+        return None
+    rows = {ep.episode_id: episode_row(ep) for ep in episodes}
+    objects = sorted(rows)
+    attributes = sorted(set().union(*rows.values())) if rows else []
+    fresh = FormalContext(objects, attributes,
+                          [(o, a) for o in objects for a in sorted(rows[o])])
+    concepts = fresh.concepts()
+    intents, calls = textbook_next_closure(objects, attributes, rows)
+    assert [c.intent for c in concepts] == intents
+    return concepts, calls, mine_rules(fresh, min_s, min_c), fresh.to_csv()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([(0.0, 0.0), (0.1, 0.5), (0.2, 0.8)]))
+def test_incremental_passes_equal_fresh_contexts(data, thresholds):
+    """Each `context_from_episodes` call, whether it extends the last
+    context or rebuilds, gives the concepts, closure count, rules and csv
+    of a context built afresh from the same rows. A context that handed
+    its lattice on still lists its own concepts."""
+    min_s, min_c = thresholds
+    history: list = []
+    vocab = WIDE_VOCAB
+    serial = iter(range(10_000))
+    previous = None
+
+    def new_episode(**kwargs):
+        return data.draw(drawn_episode(f"ep-{next(serial):04d}", **kwargs))
+
+    def call(episodes):
+        nonlocal previous
+        expected = expected_concepts(episodes, vocab, min_s, min_c)
+        if expected is None:
+            with pytest.raises(ContextError, match="outside the vocabulary"):
+                context_from_episodes(episodes, vocab)
+            return
+        ctx = context_from_episodes(episodes, vocab)
+        concepts, calls, rules, csv = expected
+        assert ctx.concepts() == concepts
+        assert ctx.closure_calls == calls
+        assert mine_rules(ctx, min_s, min_c) == rules
+        assert ctx.to_csv() == csv
+        if previous is not None:
+            assert previous[0].concepts() == previous[1]
+        previous = ctx, concepts
+
+    call(history)
+    steps = data.draw(st.lists(st.sampled_from(
+        ["append", "append", "append", "drop", "new_attribute", "vocab", "unrelated"]),
+        max_size=14))
+    for step in steps:
+        if step == "append":
+            history += [new_episode() for _ in range(data.draw(st.integers(0, 6)))]
+        elif step == "drop" and len(history) > 2:
+            del history[data.draw(st.integers(1, len(history) - 2))]
+        elif step == "new_attribute":
+            seen = set().union(*(ep.symptom_attributes for ep in history))
+            unseen = [s for s in RESERVE_SYMPTOMS if s not in seen] or list(RESERVE_SYMPTOMS)
+            history.append(new_episode(extra=frozenset({data.draw(st.sampled_from(unseen))})))
+        elif step == "vocab":
+            vocab = NARROW_VOCAB if vocab == WIDE_VOCAB else WIDE_VOCAB
+        elif step == "unrelated":
+            # The same ids on other objects: identity, not id, decides.
+            call([data.draw(drawn_episode(ep.episode_id, symptoms=WIDE_VOCAB))
+                  for ep in history])
+        call(history)
 
 
 def test_mine_rules_empty_context():

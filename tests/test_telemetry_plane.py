@@ -1,8 +1,9 @@
 """The columnar telemetry plane against its references.
 
 Each tick's frame must equal a scalar, sample-by-sample recomputation of
-the tick, and the detector's columnar path over the feed's window must
-raise exactly the alerts of its record path over the same records. The
+the tick, and the detector over the feed's window must raise exactly the
+alerts of the record-list reference (`conftest.detect_records`) over the
+same records. The
 simulator walks only the faults that can still act; the reference walks
 every fault ever injected."""
 from __future__ import annotations
@@ -14,7 +15,7 @@ from opsloop.cluster import SIM_STREAM, ClusterSim, FaultScenario, RawEvent, Tel
 from opsloop.config import BASELINES, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
 from opsloop.ingest import TelemetryFeed, detect_anomalies, normalize
 
-from conftest import small_topology_spec, tiny_topology_spec
+from conftest import detect_records, small_topology_spec, tiny_topology_spec
 
 TICKS = 24
 RATIO_METRICS = ("cpu_util", "mem_util", "disk_io", "packet_loss_rate")
@@ -157,7 +158,7 @@ def run_both(topology, faults, seed, sim_noise, window_ticks, min_ticks, noise_p
         window = feed.window()
         assert len(window) == len(list(window))
         columnar = detect_anomalies(window, min_ticks=min_ticks, noise_pct=noise_pct)
-        records = detect_anomalies(list(window), min_ticks=min_ticks, noise_pct=noise_pct)
+        records = detect_records(list(window), min_ticks=min_ticks, noise_pct=noise_pct)
         yield columnar, records
 
 
