@@ -453,14 +453,9 @@ class ClusterSim:
         # A cleared or expired fault has left `_acting`, and a finished
         # decommission's node is in `_removed`, rejected above.
         for fault in self._acting:
-            scen = fault.scenario
-            if fault.cleared_at is not None:
+            if not fault.contributes_at(self._tick):
                 continue
-            if scen.start_tick > self._tick:
-                continue  # not started yet
-            if scen.duration is not None and self._tick >= scen.start_tick + scen.duration:
-                continue  # already expired on its own
-            if REMEDY[fault.kind] is action and scen.target == target:
+            if REMEDY[fault.kind] is action and fault.scenario.target == target:
                 fault.cleared_at = self._tick
                 cleared.append(fault.kind.value)
         if cleared:

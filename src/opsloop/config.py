@@ -116,7 +116,6 @@ ATTR_SOURCE = {attr: ("metric", metric) for metric, attr in ANOMALY_ATTR.items()
 ATTR_SOURCE.update({kind: ("event", kind) for kind in EVENT_KINDS})
 
 SYMPTOM_VOCAB = tuple(sorted(ATTR_SOURCE))
-VOCAB_VERSION = 1
 
 CAUSE_PREFIX = "cause_"
 RESOLVED_PREFIX = "resolved_by_"
@@ -195,10 +194,6 @@ EMBED_CATEGORIES = (
     Category.CONFIGURATION,
     Category.SECURITY,
 )
-
-
-def embedding_dim(vocab: tuple[str, ...] = SYMPTOM_VOCAB) -> int:
-    return len(vocab) + 2 + len(EMBED_CATEGORIES)
 
 
 # ---------------------------------------------------------------------------

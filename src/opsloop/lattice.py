@@ -15,22 +15,20 @@ ascending lectic order, each intent's extent mask and the count below.
 Names and frozensets are built only for what leaves the module:
 `concepts()` and the rules that survive the thresholds.
 
-NextClosure seeds a lattice. Each candidate's extent is one AND of a
-prefix extent with an attribute extent, and a candidate is rejected by
-the Close-by-One canonicity test (some attribute below it, outside the
-current intent, holds its whole extent) before its intent is computed.
-Insertion extends a lattice: between learning passes the history only
-grows, so `context_from_episodes` extends the last context it built and
-moves that context's lattice into the new one, adding each new row the
-way Godin, Missaoui & Alaoui (1995) add an object.
+Insertion builds every lattice, the way Godin, Missaoui & Alaoui (1995)
+add an object. A context's lattice starts as the lattice of no objects,
+the full attribute set alone, and takes each row in object order. Between
+learning passes the history only grows, so `context_from_episodes` extends
+the last context it built and moves that context's lattice into the new
+one, inserting only the new rows.
 
-`closure_calls` counts the candidate closures NextClosure examines, one
-per candidate attribute tried, whatever the test rejects cheaply. That
-count is a learning pass's `ill` charge. It follows from the lattice
-alone: from intent A, NextClosure tries every attribute outside A at or
-above the lowest index where A and its lectic successor differ. So an
-inserted lattice carries the count NextClosure would make, summed over
-lectic neighbours, without running it.
+NextClosure only defines the count. `closure_calls` counts the candidate
+closures Ganter's NextClosure would examine to list the lattice, one per
+candidate attribute tried, and that count is a learning pass's `ill`
+charge. It follows from the lattice alone: from intent A, NextClosure
+tries every attribute outside A at or above the lowest index where A and
+its lectic successor differ. So insertion keeps the count summed over
+lectic neighbours, without running NextClosure.
 """
 from __future__ import annotations
 
@@ -193,64 +191,14 @@ class FormalContext:
         `closure_calls`, as listing the lattice afresh would."""
         lattice = self._lattice
         if lattice is None:
-            lattice = self._lattice = self._next_closure()
+            # The lattice of no objects: the full set, one closure to reach.
+            full = self._all_attrs
+            lattice = self._lattice = _Lattice([full], {full: 0}, 1)
+            for oi, row in enumerate(self._obj_intents):
+                self._insert(1 << oi, row)
         self.closure_calls += lattice.closure_calls
         extents = lattice.extents
         return [(extents[intent], intent) for intent in lattice.intents]
-
-    def _next_closure(self) -> _Lattice:
-        """The lattice by NextClosure, with each candidate computed on masks.
-
-        From intent A, NextClosure tries each attribute i not in A, highest
-        index first, as the candidate closure of (A below i) + {i}; the
-        first candidate that adds no attribute below i is the next intent.
-        Here the candidate's extent is `prefix_ext[i] & attr_extent[i]`,
-        where `prefix_ext[i]` is the extent of A's attributes below i, and
-        the candidate is canonical unless some attribute j < i outside A
-        holds that whole extent (the Close-by-One test). Only a canonical
-        candidate's intent is computed. Every candidate tried adds 1 to
-        the count, as a full closure per candidate would."""
-        n = len(self.attributes)
-        attr_ext = self._attr_extents
-        # missing[j]: the objects without attribute j, so that an extent E
-        # lies inside attribute j's extent exactly when E & missing[j] is 0.
-        missing = [self._all_objects ^ e for e in attr_ext]
-        calls = 1
-        extent = self._all_objects
-        intent = self._intent_mask(extent)
-        intents: list[int] = []
-        extents: dict[int, int] = {}
-        prefix_ext = [0] * n
-        while True:
-            intents.append(intent)
-            extents[intent] = extent
-            outside: list[int] = []  # attributes not in the intent, ascending
-            ext = self._all_objects
-            for i in range(n):
-                if intent >> i & 1:
-                    ext &= attr_ext[i]
-                else:
-                    outside.append(i)
-                    prefix_ext[i] = ext
-            for k in range(len(outside) - 1, -1, -1):
-                i = outside[k]
-                calls += 1
-                cand = prefix_ext[i] & attr_ext[i]
-                for j in outside[:k]:
-                    if not cand & missing[j]:
-                        break
-                else:
-                    # Canonical: below i the intent keeps A's attributes;
-                    # above i it gains each attribute holding the extent.
-                    bit = 1 << i
-                    intent = (intent & (bit - 1)) | bit
-                    for j in range(i + 1, n):
-                        if not cand & missing[j]:
-                            intent |= 1 << j
-                    extent = cand
-                    break
-            else:
-                return _Lattice(intents, extents, calls)
 
     def _insert(self, bit: int, row: int) -> None:
         """Add the object `bit` with intent `row` to the lattice (Godin's
@@ -258,7 +206,9 @@ class FormalContext:
         inside `row` are the old intents among the intersections of each
         intent with `row`, and they gain the object. The other intersections
         become intents, each placed in lectic order, and the count trades
-        its neighbours' term for the two through it."""
+        its neighbours' term for the two through it. A fresh build inserts
+        into a context that already holds every row, so each new extent is
+        final when it is made and the later bits it gains are already set."""
         lattice = self._lattice
         intents, extents = lattice.intents, lattice.extents
         key, full = _lectic_key(len(self.attributes)), self._all_attrs

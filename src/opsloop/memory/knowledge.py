@@ -132,9 +132,6 @@ class KnowledgeGraph:
     def class_of(self, entity_id: str) -> str | None:
         return self._entities.get(entity_id)
 
-    def entities_of_class(self, cls: str) -> tuple[str, ...]:
-        return tuple(sorted(e for e, c in self._entities.items() if c == cls))
-
     # -- triples ---------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -561,15 +561,11 @@ class AgentLoop:
 
         # Runbook feedback: the final attempted runbook carries the outcome,
         # earlier attempts count as failures.
-        attempted = [rb_id for rb_id, _ in run.action_results]
-        seen: list[str] = []
-        for rb_id in attempted:
-            if rb_id not in seen:
-                seen.append(rb_id)
-        for rb_id in seen[:-1]:
+        attempted = list(dict.fromkeys(rb_id for rb_id, _ in run.action_results))
+        for rb_id in attempted[:-1]:
             memories.runbooks.record_outcome(rb_id, False)
-        if seen:
-            memories.runbooks.record_outcome(seen[-1], resolved)
+        if attempted:
+            memories.runbooks.record_outcome(attempted[-1], resolved)
 
         if top is not None:
             cited = {key.split(":", 1)[0] for key in top.evidence}

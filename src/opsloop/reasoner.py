@@ -116,29 +116,23 @@ def _triple_key(triple: Triple) -> str:
     return f"kg_subgraph:{triple.subject}|{triple.predicate}|{triple.object}"
 
 
-def _resolve_switch(entity: str, triples: list[Triple]) -> tuple[str | None, list[Triple]]:
-    """pod -> node -> rack -> switch along packed triples."""
+def _follow(
+    entity: str, triples: list[Triple], predicates: tuple[str, ...]
+) -> tuple[str | None, list[Triple]]:
+    """Walk one packed triple per predicate from `entity` (subject to
+    object): the end entity, or None at a missing hop, and the triples walked."""
     path: list[Triple] = []
-    node = next((t for t in triples if t.predicate == "runs_on" and t.subject == entity), None)
-    if node is None:
-        return None, path
-    path.append(node)
-    rack = next((t for t in triples if t.predicate == "member_of" and t.subject == node.object), None)
-    if rack is None:
-        return None, path
-    path.append(rack)
-    switch = next((t for t in triples if t.predicate == "uplink" and t.subject == rack.object), None)
-    if switch is None:
-        return None, path
-    path.append(switch)
-    return switch.object, path
+    for predicate in predicates:
+        hop = next((t for t in triples if t.predicate == predicate and t.subject == entity), None)
+        if hop is None:
+            return None, path
+        path.append(hop)
+        entity = hop.object
+    return entity, path
 
 
-def _resolve_node(entity: str, triples: list[Triple]) -> tuple[str | None, list[Triple]]:
-    node = next((t for t in triples if t.predicate == "runs_on" and t.subject == entity), None)
-    if node is None:
-        return None, []
-    return node.object, [node]
+_TO_SWITCH = ("runs_on", "member_of", "uplink")  # pod -> node -> rack -> switch
+_TO_NODE = ("runs_on",)  # pod -> node
 
 
 def diagnose(
@@ -219,11 +213,11 @@ def diagnose(
         if "node_decommissioned" in attrs:
             offer(FaultKind.NODE_DECOMMISSION, entity)
         if "packet_loss_high" in attrs:
-            switch, path = _resolve_switch(entity, triples)
+            switch, path = _follow(entity, triples, _TO_SWITCH)
             extra = tuple(_triple_key(t) for t in path)
             offer(FaultKind.TOR_PACKET_LOSS, switch or entity, extra)
         if {"cpu_high", "disk_high"} <= attrs:
-            node, path = _resolve_node(entity, triples)
+            node, path = _follow(entity, triples, _TO_NODE)
             extra = tuple(_triple_key(t) for t in path)
             offer(FaultKind.NOISY_NEIGHBOR, node or entity, extra)
         if "latency_high" in attrs and entity == descriptor.affected_service:
@@ -257,7 +251,7 @@ def _suspect_for(
     if kind is FaultKind.TOR_PACKET_LOSS:
         pod = first_entity_with("packet_loss_high")
         if pod is not None:
-            switch, _ = _resolve_switch(pod, triples)
+            switch, _ = _follow(pod, triples, _TO_SWITCH)
             if switch is not None:
                 return switch, ()
             return pod, ()
@@ -268,7 +262,7 @@ def _suspect_for(
             if signature <= {a.attribute for _, a in keyed_alerts if a.entity == e}
         )
         if entities:
-            node, _ = _resolve_node(entities[0], triples)
+            node, _ = _follow(entities[0], triples, _TO_NODE)
             return node or entities[0], ()
         return affected_service, ()
     return affected_service, ()

@@ -21,7 +21,7 @@ from .cluster import (
     build_topology,
     check_scenario,
 )
-from .config import BUFFER_CAPACITY, FaultKind
+from .config import FaultKind
 from .ingest import TelemetryFeed
 from .lattice import rules_jsonl
 from .memory import (
@@ -76,6 +76,9 @@ class RunConfig:
 
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(LoopParams)}
+# The least value each size param can run with: a ring, a buffer and a pack
+# need room for one item, and a subgraph radius counts hops from 0.
+_PARAM_MINIMUMS = {"detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1}
 
 
 def _episode_id(index: int) -> str:
@@ -145,6 +148,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
     params = LoopParams(**params_raw)
+    for name, least in _PARAM_MINIMUMS.items():
+        if getattr(params, name) < least:
+            raise ConfigError(f"params.{name} must be >= {least}")
 
     for i, rb in enumerate(raw.get("seed_runbooks", [])):
         for key in ("id", "trigger", "steps"):
@@ -200,7 +206,7 @@ def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
             if not result.accepted:
                 raise ConfigError(f"policy {pol['id']!r}: {result.reason}")
     return Memories(
-        buffer=ShortTermBuffer(config.params.buffer_capacity or BUFFER_CAPACITY),
+        buffer=ShortTermBuffer(config.params.buffer_capacity),
         episodic=EpisodicStore(),
         kg=kg,
         runbooks=runbooks,

@@ -1,5 +1,5 @@
-"""Concept lattice: derivation laws, NextClosure enumeration, incremental
-passes, rule lifecycle.
+"""Concept lattice: derivation laws, the lattice built by object insertion
+(checked against a textbook NextClosure), incremental passes, rule lifecycle.
 
 Oracles here are independent of the implementation: concepts come from a
 power-set sweep that closes every attribute subset, order is checked with a

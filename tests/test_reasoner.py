@@ -235,6 +235,24 @@ def test_rule_suspect_resolution_fallbacks():
     assert diagnose(no_alerts).hypotheses[0].suspect_entity == "svc-a"
 
 
+def test_partial_switch_chain_blames_the_pod_on_both_routes():
+    # The pack lost rack|uplink|switch, as a section cap can cut it.
+    cut = CHAIN[:2]
+    alerts = (alert("p1", "packet_loss_high", 2),)
+    propagated = diagnose(pack_of({"packet_loss_high"}, alerts=alerts, triples=cut))
+    assert propagated.path == "propagation"
+    top = propagated.hypotheses[0]
+    assert (top.fault_kind, top.suspect_entity) == (FaultKind.TOR_PACKET_LOSS, "p1")
+    assert top.evidence == (
+        "short_term:0", "kg_subgraph:p1|runs_on|n1", "kg_subgraph:n1|member_of|r1",
+    )
+
+    rule = make_rule({"packet_loss_high"}, {"cause_tor_packet_loss"})
+    shortcut = diagnose(pack_of({"packet_loss_high"}, alerts=alerts, triples=cut, rules=(rule,)))
+    assert shortcut.path == "rule_shortcut"
+    assert shortcut.hypotheses[0].suspect_entity == "p1"
+
+
 # -- planning ------------------------------------------------------------------------
 
 

@@ -133,6 +133,32 @@ def test_config_rejects_what_inject_would_reject(dns_config_path, change, messag
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "param, bad, least",
+    [
+        ("buffer_capacity", -1, 1),
+        ("buffer_capacity", 0, 1),
+        ("pack_budget", 0, 1),
+        ("subgraph_radius", -1, 0),
+        ("detect_window", 0, 1),
+    ],
+)
+def test_out_of_range_loop_params_are_config_errors(
+    dns_config_path, tmp_path, capsys, param, bad, least
+):
+    # Each bad value once loaded, then raised inside run() and left an
+    # empty run directory.
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 6
+    raw["params"][param] = bad
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out_dir)]) == 1
+    assert f"params.{param} must be >= {least}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    raw["params"][param] = least
+    assert getattr(config_from_dict(raw).params, param) == least
+
+
 def test_policy_must_bind_to_known_service(tmp_path):
     raw = tiny_run_dict(policies=[{"id": "pol-x", "applies_to": ["svc-ghost"]}])
     cfg = config_from_dict(raw)
