@@ -1,18 +1,20 @@
 """Budgeted context assembly for the diagnosis step.
 
 The pack has a fixed section order (task, policies, short-term, episodic,
-knowledge subgraph, rules, runbooks). Candidates are gathered from the
-memory tiers, then packed greedily: a candidate that would blow its
+knowledge subgraph, rules, runbooks). Assembly makes one pass over the
+sections in that order: it ranks a section's candidates from its memory
+tier and packs them greedily at once, under the section's cap. A candidate that would blow its
 section cap is skipped, but the first candidate that would blow the
-overall budget stops packing outright. The stop-at-first-overflow rule
-gives the prefix property: shrinking the budget can only truncate the
-pack, never reshuffle it. Every candidate's fate lands in the assembly
-trace.
+overall budget stops packing outright, for this section and every later
+one. The stop-at-first-overflow rule gives the prefix property: shrinking
+the budget can only truncate the pack, never reshuffle it. Every
+candidate's fate lands in the assembly trace; only a packed candidate
+becomes a `PackItem`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .config import (
     DEFAULT_SECTION_CAPS,
@@ -58,8 +60,7 @@ class IncidentDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class PackItem:
+class PackItem(NamedTuple):
     section: str
     key: str
     payload: Any
@@ -67,8 +68,7 @@ class PackItem:
     cost: int
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     section: str
     key: str
     cost: int
@@ -119,65 +119,6 @@ class ContextPack:
         ]
 
 
-def _candidates(
-    query: IncidentDescriptor,
-    memories: Memories,
-    *,
-    episodic_k: int,
-    subgraph_radius: int,
-    vocab: tuple[str, ...],
-) -> tuple[list[PackItem], int]:
-    """Gather candidates per section, in deterministic rank order."""
-    symptoms = query.symptom_attributes
-    out: list[PackItem] = []
-    touched = 0
-
-    out.append(PackItem("task", f"task:{query.incident_id}", query, priority=3, cost=1))
-
-    policies = memories.kg.query(None, "constrained_by", None)
-    touched += len(policies)
-    for t in policies:
-        out.append(PackItem(
-            "policies", f"policies:{t.subject}|{t.predicate}|{t.object}", t, priority=2, cost=1,
-        ))
-
-    stitems = memories.buffer.snapshot(incident=query.incident_id)
-    touched += len(stitems)
-    for it in sorted(stitems, key=lambda b: (-b.priority, b.seq)):
-        out.append(PackItem("short_term", f"short_term:{it.seq}", it, priority=it.priority, cost=1))
-
-    query_vec = embed_features(symptoms, 0, query.max_severity, vocab)
-    touched += memories.episodic.live_count()
-    for episode, similarity in memories.episodic.search(query_vec, episodic_k):
-        out.append(PackItem(
-            "episodic",
-            f"episodic:{episode.episode_id}",
-            (episode, similarity),
-            priority=1,
-            cost=1 + len(episode.actions),
-        ))
-
-    center = query.affected_entity or query.affected_service
-    triples = memories.kg.subgraph(center, subgraph_radius)
-    touched += len(triples)
-    for t in triples:
-        out.append(PackItem(
-            "kg_subgraph", f"kg_subgraph:{t.subject}|{t.predicate}|{t.object}", t, priority=1, cost=1,
-        ))
-
-    touched += len(memories.kg.rules)
-    rules = [r for r in validated_rules(memories.kg) if r.antecedent & symptoms]
-    rules.sort(key=lambda r: (-r.confidence, r.rule_id))
-    for r in rules:
-        out.append(PackItem("rules", f"rules:{r.rule_id}", r, priority=2, cost=1))
-
-    touched += len(memories.runbooks)
-    for rb in memories.runbooks.suggest(symptoms, memories.blocked_policy_tags):
-        out.append(PackItem("runbooks", f"runbooks:{rb.runbook_id}", rb, priority=1, cost=1))
-
-    return out, touched
-
-
 def assemble(
     query: IncidentDescriptor,
     memories: Memories,
@@ -191,43 +132,77 @@ def assemble(
 
     Raises PackBudgetError when even the task item does not fit; everything
     else degrades gracefully and is visible in the trace."""
-    candidates, touched = _candidates(
-        query, memories,
-        episodic_k=episodic_k, subgraph_radius=subgraph_radius, vocab=vocab,
-    )
-    order = {s: i for i, s in enumerate(SECTION_ORDER)}
-    candidates.sort(key=lambda c: order[c.section])  # stable: keeps in-section rank
-
-    items: dict[str, list[PackItem]] = {s: [] for s in SECTION_ORDER}
-    caps = {s: policy.effective_cap(s) for s in SECTION_ORDER}
+    budget = policy.pack_budget
+    items: dict[str, list[PackItem]] = {}
     trace: list[TraceEntry] = []
-    section_cost: dict[str, int] = {s: 0 for s in SECTION_ORDER}
     total = 0
     stopped = False
-    for cand in candidates:
-        if stopped:
-            trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "pack budget exhausted"))
-            continue
-        if section_cost[cand.section] + cand.cost > caps[cand.section]:
-            trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "section cap"))
-            continue
-        if total + cand.cost > policy.pack_budget:
-            stopped = True
-            if cand.section == "task":
-                raise PackBudgetError(
-                    f"task section needs {cand.cost} units, budget is {policy.pack_budget}"
-                )
-            trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "pack budget exhausted"))
-            continue
-        items[cand.section].append(cand)
-        section_cost[cand.section] += cand.cost
-        total += cand.cost
-        trace.append(TraceEntry(cand.section, cand.key, cand.cost, True, "included"))
-    if not items["task"]:
-        raise PackBudgetError("task section missing from pack")
+
+    def pack(section: str, candidates: list[tuple[str, Any, int, int]]) -> None:
+        """Pack one section's (key, payload, priority, cost) candidates, in rank order."""
+        nonlocal total, stopped
+        cap = policy.effective_cap(section)
+        packed: list[PackItem] = []
+        used = 0
+        for key, payload, priority, cost in candidates:
+            if stopped:
+                reason = "pack budget exhausted"
+            elif used + cost > cap:
+                reason = "section cap"
+            elif total + cost > budget:
+                if section == "task":
+                    raise PackBudgetError(f"task section needs {cost} units, budget is {budget}")
+                stopped = True
+                reason = "pack budget exhausted"
+            else:
+                packed.append(PackItem(section, key, payload, priority, cost))
+                used += cost
+                total += cost
+                trace.append(TraceEntry(section, key, cost, True, "included"))
+                continue
+            trace.append(TraceEntry(section, key, cost, False, reason))
+        if packed:
+            items[section] = packed
+
+    symptoms = query.symptom_attributes
+    pack("task", [(f"task:{query.incident_id}", query, 3, 1)])
+
+    policies = memories.kg.query(None, "constrained_by", None)
+    pack("policies", [
+        (f"policies:{t.subject}|{t.predicate}|{t.object}", t, 2, 1) for t in policies
+    ])
+
+    stitems = memories.buffer.snapshot(incident=query.incident_id)
+    pack("short_term", [
+        (f"short_term:{it.seq}", it, it.priority, 1)
+        for it in sorted(stitems, key=lambda b: (-b.priority, b.seq))
+    ])
+
+    query_vec = embed_features(symptoms, 0, query.max_severity, vocab)
+    pack("episodic", [
+        (f"episodic:{episode.episode_id}", (episode, similarity), 1, 1 + len(episode.actions))
+        for episode, similarity in memories.episodic.search(query_vec, episodic_k)
+    ])
+
+    center = query.affected_entity or query.affected_service
+    triples = memories.kg.subgraph(center, subgraph_radius)
+    pack("kg_subgraph", [
+        (f"kg_subgraph:{t.subject}|{t.predicate}|{t.object}", t, 1, 1) for t in triples
+    ])
+
+    rules = [r for r in validated_rules(memories.kg) if r.antecedent & symptoms]
+    rules.sort(key=lambda r: (-r.confidence, r.rule_id))
+    pack("rules", [(f"rules:{r.rule_id}", r, 2, 1) for r in rules])
+
+    pack("runbooks", [
+        (f"runbooks:{rb.runbook_id}", rb, 1, 1)
+        for rb in memories.runbooks.suggest(symptoms, memories.blocked_policy_tags)
+    ])
+    touched = (len(policies) + len(stitems) + memories.episodic.live_count() + len(triples)
+               + len(memories.kg.rules) + len(memories.runbooks))
     return ContextPack(
-        budget=policy.pack_budget,
-        items={s: v for s, v in items.items() if v},
+        budget=budget,
+        items=items,
         total_cost=total,
         trace=trace,
         memory_touched=touched,

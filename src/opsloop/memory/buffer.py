@@ -21,7 +21,7 @@ class ShortTermBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[BufferItem] = []
+        self._items: list[BufferItem] = []  # in seq order: push appends, removal keeps order
         self._seq = 0
 
     def __len__(self) -> int:
@@ -38,10 +38,9 @@ class ShortTermBuffer:
 
     def snapshot(self, incident: str | None = None) -> tuple[BufferItem, ...]:
         """Current contents in insertion order, optionally incident-scoped."""
-        items = self._items if incident is None else [
-            it for it in self._items if it.incident == incident
-        ]
-        return tuple(sorted(items, key=lambda it: it.seq))
+        if incident is None:
+            return tuple(self._items)
+        return tuple(it for it in self._items if it.incident == incident)
 
     def evict_incident(self, incident: str) -> int:
         before = len(self._items)

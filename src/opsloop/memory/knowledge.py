@@ -200,31 +200,32 @@ class KnowledgeGraph:
         Hops count graph distance over triples read as undirected edges, so
         radius 0 returns exactly the triples touching `entity` and growing
         the radius admits the incident triples of each newly interior hop.
-        Triples are ranked by the smaller hop distance of their endpoints
-        (ties on the triple key), so a downstream consumer that truncates
-        the list keeps the neighborhood closest to the center.
+        A triple ranks at the hop distance of the vertex `bfs` first meets it
+        from, which is its nearer endpoint (ties on the triple key), so a
+        consumer that truncates the list keeps the neighborhood closest to
+        the center.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
         incident = self._incident
         if entity not in incident:
             return []
-        limit = max(radius - 1, 0)
         dist = bfs(
             entity,
             lambda v: (t.object if t.subject == v else t.subject for t in incident[v]),
-            limit,
+            max(radius - 1, 0),
         )
-        seen: dict[tuple[str, str, str], Triple] = {}
-        for v in dist:
+        # Each triple is one object in both of its endpoints' lists, and no
+        # two share a key, so a rank tuple never compares the triples.
+        met: set[int] = set()
+        ranked = []
+        for v, depth in dist.items():
             for t in incident[v]:
-                seen[t.key()] = t
-        far = limit + 1
-
-        def rank(t: Triple) -> tuple[int, tuple[str, str, str]]:
-            return (min(dist.get(t.subject, far), dist.get(t.object, far)), t.key())
-
-        return sorted(seen.values(), key=rank)
+                if id(t) not in met:
+                    met.add(id(t))
+                    ranked.append((depth, t.subject, t.predicate, t.object, t))
+        ranked.sort()
+        return [r[-1] for r in ranked]
 
     # -- decommissioning -------------------------------------------------------
 

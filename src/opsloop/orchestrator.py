@@ -19,6 +19,7 @@ from .config import (
     ActionKind,
     BUFFER_CAPACITY,
     COMPUTE_LIMIT,
+    DEFAULT_SECTION_CAPS,
     DETECT_WINDOW,
     EPISODIC_K,
     ESCALATION_AFTER,
@@ -212,7 +213,7 @@ class LoopParams:
     retire_confidence_floor: float = RETIRE_CONFIDENCE_FLOOR
     retire_age_episodes: int = RETIRE_AGE_EPISODES
     pack_budget: int = PACK_BUDGET
-    section_caps: dict[str, int] | None = None
+    section_caps: dict[str, int] | None = None  # laid over DEFAULT_SECTION_CAPS
     episodic_k: int = EPISODIC_K
     subgraph_radius: int = SUBGRAPH_RADIUS
     verify_ticks: int = VERIFY_TICKS
@@ -429,8 +430,7 @@ class AgentLoop:
             # Enriching: assemble the pack.
             policy = BudgetPolicy(
                 pack_budget=params.pack_budget,
-                section_caps=dict(params.section_caps or {})
-                or BudgetPolicy().section_caps,
+                section_caps={**DEFAULT_SECTION_CAPS, **(params.section_caps or {})},
                 weights=dict(self.weights),
             )
             pack = assemble(

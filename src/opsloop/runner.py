@@ -21,7 +21,7 @@ from .cluster import (
     build_topology,
     check_scenario,
 )
-from .config import FaultKind
+from .config import SECTION_ORDER, FaultKind
 from .ingest import TelemetryFeed
 from .lattice import rules_jsonl
 from .memory import (
@@ -75,7 +75,11 @@ class RunConfig:
     params: LoopParams = field(default_factory=LoopParams)
 
 
-_PARAM_FIELDS = {f.name for f in dataclasses.fields(LoopParams)}
+_PARAM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(LoopParams)}
+# What a param takes, by the type of its default; a bool is never an int
+# here. JSON has no tuple, and section_caps (default None) is an object.
+_PARAM_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"),
+                tuple: ((list, tuple), "a list"), type(None): ((dict, type(None)), "an object")}
 # The least value each size param can run with: a ring, a buffer and a pack
 # need room for one item, and a subgraph radius counts hops from 0.
 _PARAM_MINIMUMS = {"detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1}
@@ -144,9 +148,25 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_can_fire(topology, scenario, episodes)
 
     params_raw = raw.get("params", {})
-    unknown = set(params_raw) - _PARAM_FIELDS
+    if not isinstance(params_raw, dict):
+        raise ConfigError("params must be an object")
+    unknown = set(params_raw) - _PARAM_DEFAULTS.keys()
     if unknown:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
+    for name, value in params_raw.items():
+        types, kind = _PARAM_TYPES[type(_PARAM_DEFAULTS[name])]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"params.{name} must be {kind}, got {value!r}")
+    if not all(isinstance(attr, str) for attr in params_raw.get("vocab", ())):
+        raise ConfigError("params.vocab must be a list of attribute names")
+    # The loop lays section caps over DEFAULT_SECTION_CAPS, so any subset may be named.
+    caps = params_raw.get("section_caps") or {}
+    unknown = sorted(set(caps) - set(SECTION_ORDER))
+    if unknown:
+        raise ConfigError(f"params.section_caps names unknown sections {unknown}")
+    for section, cap in caps.items():
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+            raise ConfigError(f"params.section_caps.{section} must be an int >= 0, got {cap!r}")
     params = LoopParams(**params_raw)
     for name, least in _PARAM_MINIMUMS.items():
         if getattr(params, name) < least:

@@ -1,29 +1,39 @@
 """Budgeted context assembly: section order, caps, hard budget stop, feedback."""
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
-from opsloop.config import SECTION_ORDER
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from opsloop.cluster import build_topology
+from opsloop.config import EPISODIC_K, SECTION_ORDER, SUBGRAPH_RADIUS, SYMPTOM_VOCAB
 from opsloop.contextpack import (
     BudgetPolicy,
     ContextPack,
     IncidentDescriptor,
     PackBudgetError,
+    PackItem,
+    TraceEntry,
     assemble,
     task_descriptor,
     update_weights,
 )
-from opsloop.lattice import Rule, inject_rules
+from opsloop.lattice import Rule, inject_rules, validated_rules
 from opsloop.memory import (
     Episode,
     EpisodicStore,
+    ForgetCriteria,
     KnowledgeGraph,
     Memories,
     Runbook,
     RunbookStore,
     ShortTermBuffer,
+    bootstrap_from_topology,
     default_ontology,
+    embed_features,
 )
+from opsloop.memory.knowledge import bfs
 
 
 def _episode(eid, symptoms, end, actions=(), start=0):
@@ -236,3 +246,282 @@ def test_update_weights_feedback_and_clamps():
     lo = dict(weights, episodic=0.55)
     assert update_weights(lo, {"episodic"}, False)["episodic"] == 0.5
     assert update_weights(weights, {"not-a-section"}, True) == weights
+
+
+# -- differential: one-pass assembly against gather-sort-pack ------------------
+
+
+def _reference_subgraph(kg: KnowledgeGraph, entity: str, radius: int) -> list:
+    """`KnowledgeGraph.subgraph` ranked by a key per triple: the smaller hop
+    distance of its two endpoints, then the triple key."""
+    incident = kg._incident
+    if entity not in incident:
+        return []
+    limit = max(radius - 1, 0)
+    dist = bfs(
+        entity,
+        lambda v: (t.object if t.subject == v else t.subject for t in incident[v]),
+        limit,
+    )
+    seen = {}
+    for v in dist:
+        for t in incident[v]:
+            seen[t.key()] = t
+    far = limit + 1
+
+    def rank(t):
+        return (min(dist.get(t.subject, far), dist.get(t.object, far)), t.key())
+
+    return sorted(seen.values(), key=rank)
+
+
+def _reference_candidates(query, memories, *, episodic_k, subgraph_radius, vocab):
+    """Every section's candidates gathered into one list before packing."""
+    symptoms = query.symptom_attributes
+    out = []
+    touched = 0
+
+    out.append(PackItem("task", f"task:{query.incident_id}", query, priority=3, cost=1))
+
+    policies = memories.kg.query(None, "constrained_by", None)
+    touched += len(policies)
+    for t in policies:
+        out.append(PackItem(
+            "policies", f"policies:{t.subject}|{t.predicate}|{t.object}", t, priority=2, cost=1,
+        ))
+
+    stitems = memories.buffer.snapshot(incident=query.incident_id)
+    touched += len(stitems)
+    for it in sorted(stitems, key=lambda b: (-b.priority, b.seq)):
+        out.append(PackItem("short_term", f"short_term:{it.seq}", it, priority=it.priority, cost=1))
+
+    query_vec = embed_features(symptoms, 0, query.max_severity, vocab)
+    touched += memories.episodic.live_count()
+    for episode, similarity in memories.episodic.search(query_vec, episodic_k):
+        out.append(PackItem(
+            "episodic",
+            f"episodic:{episode.episode_id}",
+            (episode, similarity),
+            priority=1,
+            cost=1 + len(episode.actions),
+        ))
+
+    center = query.affected_entity or query.affected_service
+    triples = _reference_subgraph(memories.kg, center, subgraph_radius)
+    touched += len(triples)
+    for t in triples:
+        out.append(PackItem(
+            "kg_subgraph", f"kg_subgraph:{t.subject}|{t.predicate}|{t.object}", t, priority=1, cost=1,
+        ))
+
+    touched += len(memories.kg.rules)
+    rules = [r for r in validated_rules(memories.kg) if r.antecedent & symptoms]
+    rules.sort(key=lambda r: (-r.confidence, r.rule_id))
+    for r in rules:
+        out.append(PackItem("rules", f"rules:{r.rule_id}", r, priority=2, cost=1))
+
+    touched += len(memories.runbooks)
+    for rb in memories.runbooks.suggest(symptoms, memories.blocked_policy_tags):
+        out.append(PackItem("runbooks", f"runbooks:{rb.runbook_id}", rb, priority=1, cost=1))
+
+    return out, touched
+
+
+def _reference_assemble(query, memories, policy, *, episodic_k=EPISODIC_K,
+                        subgraph_radius=SUBGRAPH_RADIUS, vocab=SYMPTOM_VOCAB):
+    """Gather every candidate, sort them by section, then pack the list."""
+    candidates, touched = _reference_candidates(
+        query, memories,
+        episodic_k=episodic_k, subgraph_radius=subgraph_radius, vocab=vocab,
+    )
+    order = {s: i for i, s in enumerate(SECTION_ORDER)}
+    candidates.sort(key=lambda c: order[c.section])
+
+    items = {s: [] for s in SECTION_ORDER}
+    caps = {s: policy.effective_cap(s) for s in SECTION_ORDER}
+    trace = []
+    section_cost = {s: 0 for s in SECTION_ORDER}
+    total = 0
+    stopped = False
+    for cand in candidates:
+        if stopped:
+            trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "pack budget exhausted"))
+            continue
+        if section_cost[cand.section] + cand.cost > caps[cand.section]:
+            trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "section cap"))
+            continue
+        if total + cand.cost > policy.pack_budget:
+            stopped = True
+            if cand.section == "task":
+                raise PackBudgetError(
+                    f"task section needs {cand.cost} units, budget is {policy.pack_budget}"
+                )
+            trace.append(TraceEntry(cand.section, cand.key, cand.cost, False, "pack budget exhausted"))
+            continue
+        items[cand.section].append(cand)
+        section_cost[cand.section] += cand.cost
+        total += cand.cost
+        trace.append(TraceEntry(cand.section, cand.key, cand.cost, True, "included"))
+    if not items["task"]:
+        raise PackBudgetError("task section missing from pack")
+    return ContextPack(
+        budget=policy.pack_budget,
+        items={s: v for s, v in items.items() if v},
+        total_cost=total,
+        trace=trace,
+        memory_touched=touched,
+    )
+
+
+@st.composite
+def fleets(draw):
+    """A topology spec of 12 to 320 pods, its services calling each other."""
+    n_pods = draw(st.integers(12, 320))
+    per_node = draw(st.integers(1, 8))
+    per_rack = draw(st.integers(1, 5))
+    n_services = draw(st.integers(1, 12))  # no more than the pods: each service has one
+    services = [f"svc-{i}" for i in range(n_services)]
+    nodes = [
+        {"id": f"node-{n}", "generation": "gen-7",
+         "pods": [{"id": f"pod-{i}", "service": services[i % n_services]}
+                  for i in range(start, min(start + per_node, n_pods))]}
+        for n, start in enumerate(range(0, n_pods, per_node))
+    ]
+    racks = [
+        {"id": f"rack-{r}", "switch": f"tor-{r}", "nodes": nodes[start:start + per_rack]}
+        for r, start in enumerate(range(0, len(nodes), per_rack))
+    ]
+    pairs = [[a, b] for a in services for b in services if a != b]
+    deps = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=20)) if pairs else []
+    return {"racks": racks, "dependencies": deps}
+
+
+_SEVERITIES = st.integers(0, 3)
+_SYMPTOMS = st.frozensets(st.sampled_from(SYMPTOM_VOCAB), min_size=1, max_size=4)
+
+
+@st.composite
+def scenes(draw):
+    """Memories over a generated fleet, and an incident to assemble for."""
+    spec = draw(fleets())
+    topo = build_topology(spec)
+    kg = KnowledgeGraph(ontology=default_ontology())
+    bootstrap_from_topology(kg, topo)
+    services = sorted(topo.services)
+    nodes = sorted(topo.rack_of_node)
+    for i in range(draw(st.integers(0, 3))):
+        kg.register_entity(f"pol-{i}", "Policy")
+        for svc in draw(st.lists(st.sampled_from(services), unique=True, max_size=4)):
+            kg.assert_triple(svc, "constrained_by", f"pol-{i}")
+    for node in draw(st.lists(st.sampled_from(nodes), unique=True, max_size=3)):
+        kg.assert_triple(node, "decommissioned", "true")
+
+    rules = [
+        Rule(antecedent=antecedent, consequent=frozenset({f"cause_{i}"}),
+             support=0.5, confidence=draw(st.sampled_from([0.8, 0.9, 1.0])), checked=True)
+        for i, antecedent in enumerate(draw(st.lists(_SYMPTOMS, unique=True, max_size=6)))
+    ]
+    inject_rules(rules, kg, tick=0, episode_count=10)
+    for rule in rules:
+        if draw(st.booleans()):
+            kg.rules[rule.rule_id].status = "retired"
+
+    episodic = EpisodicStore()
+    entities = [frozenset({node}) for node in nodes[:4]]
+    for i in range(draw(st.integers(0, 30))):
+        start = draw(st.integers(0, 50))
+        episodic.insert(Episode(
+            episode_id=f"ep-{i:03d}", start_tick=start,
+            end_tick=start + draw(st.integers(1, 3)),
+            affected_service=services[0],
+            symptom_attributes=draw(_SYMPTOMS),
+            entities=draw(st.sampled_from(entities)),
+            max_severity=draw(st.integers(1, 3)),
+            root_cause_label="cause_noisy_neighbor",
+            actions=tuple(("throttle_tenant", nodes[0], True)
+                          for _ in range(draw(st.integers(0, 3)))),
+            resolved=True, ticks_to_resolve=2, feature_vector=None,
+        ))
+    if draw(st.booleans()):
+        episodic.forget(ForgetCriteria(entities=entities[0]))
+
+    buffer = ShortTermBuffer(capacity=draw(st.integers(1, 24)))
+    for i in range(draw(st.integers(0, 30))):
+        buffer.push(f"alert {i}", priority=draw(_SEVERITIES),
+                    incident=draw(st.sampled_from(["inc-1", "inc-1", "inc-0"])))
+
+    runbooks = RunbookStore()
+    for i in range(draw(st.integers(0, 8))):
+        runbooks.add(Runbook(f"rb-{i}", draw(_SYMPTOMS), ("throttle_tenant",),
+                             policy_tags=draw(st.sampled_from([frozenset(), frozenset({"risky"})]))))
+    memories = Memories(
+        buffer=buffer, episodic=episodic, kg=kg, runbooks=runbooks,
+        blocked_policy_tags=draw(st.sampled_from([frozenset(), frozenset({"risky"})])),
+    )
+
+    pods = sorted(topo.node_of_pod)
+    query = IncidentDescriptor(
+        incident_id="inc-1",
+        affected_service=draw(st.sampled_from(services)),
+        affected_entity=draw(st.sampled_from(
+            ["", "ghost", pods[0], pods[-1], nodes[0], nodes[-1], "rack-0", "tor-0", services[-1]]
+        )),
+        symptom_attributes=draw(_SYMPTOMS),
+        max_severity=draw(st.integers(1, 3)),
+        start_tick=draw(st.integers(0, 100)),
+    )
+    return query, memories
+
+
+@st.composite
+def policies(draw):
+    caps = {s: draw(st.integers(0, 30)) for s in SECTION_ORDER}
+    weights = {s: draw(st.floats(0.5, 2.0)) for s in SECTION_ORDER}
+    ceiling = sum(BudgetPolicy(section_caps=caps, weights=weights).effective_cap(s)
+                  for s in SECTION_ORDER)
+    budget = draw(st.integers(0, ceiling + 10))
+    return BudgetPolicy(pack_budget=budget, section_caps=caps, weights=weights)
+
+
+def _packed(pack: ContextPack) -> dict:
+    """Per section: each packed key with its payload's identity; an
+    episodic payload is a fresh (episode, similarity) pair."""
+    return {
+        section: [
+            (it.key, it.priority, it.cost,
+             (id(it.payload[0]), it.payload[1]) if section == "episodic" else id(it.payload))
+            for it in items
+        ]
+        for section, items in pack.items.items()
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenes(), st.lists(policies(), min_size=1, max_size=3),
+       st.integers(0, 4), st.integers(0, 8), st.data())
+def test_one_pass_assembly_equals_the_gather_sort_pack_reference(
+    scene, budget_policies, radius, episodic_k, data
+):
+    query, memories = scene
+    kwargs = {"episodic_k": episodic_k, "subgraph_radius": radius}
+    for policy in budget_policies:
+        # Besides the drawn budget, budgets that run out anywhere in the
+        # full pack, so the first overflow falls in every section.
+        unbounded = dataclasses.replace(policy, pack_budget=10**6)
+        full = _reference_assemble(query, memories, unbounded, **kwargs).total_cost
+        budgets = data.draw(st.lists(st.integers(0, full + 1), min_size=1, max_size=4))
+        for budget in [policy.pack_budget, *budgets]:
+            budgeted = dataclasses.replace(policy, pack_budget=budget)
+            try:
+                expected = _reference_assemble(query, memories, budgeted, **kwargs)
+            except PackBudgetError as exc:
+                with pytest.raises(PackBudgetError) as raised:
+                    assemble(query, memories, budgeted, **kwargs)
+                assert str(raised.value) == str(exc)
+                continue
+            pack = assemble(query, memories, budgeted, **kwargs)
+            assert pack.trace_dict() == expected.trace_dict()
+            assert _packed(pack) == _packed(expected)
+            assert pack.total_cost == expected.total_cost
+            assert pack.memory_touched == expected.memory_touched
+            assert pack.budget == expected.budget

@@ -159,6 +159,84 @@ def test_out_of_range_loop_params_are_config_errors(
     assert getattr(config_from_dict(raw).params, param) == least
 
 
+@pytest.mark.parametrize(
+    "param, bad, kind",
+    [
+        ("pack_budget", "80", "an int"),
+        ("pack_budget", True, "an int"),
+        ("detect_window", 5.0, "an int"),
+        ("max_wait_ticks", None, "an int"),
+        ("min_support", "0.2", "a number"),
+        ("compute_limit", False, "a number"),
+        ("vocab", "dns_error", "a list"),
+        ("vocab", ["dns_error", 3], "a list of attribute names"),
+        ("section_caps", [24], "an object"),
+    ],
+)
+def test_loop_params_of_the_wrong_type_are_config_errors(
+    dns_config_path, tmp_path, capsys, param, bad, kind
+):
+    # A string pack_budget once crashed the load with a TypeError (exit 2);
+    # other wrong types loaded and then crashed the run.
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 2
+    raw["params"][param] = bad
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out_dir)]) == 1
+    assert f"params.{param} must be {kind}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_params_must_be_an_object():
+    with pytest.raises(ConfigError, match="params must be an object"):
+        config_from_dict(tiny_run_dict(params=[["pack_budget", 80]]))
+
+
+def test_a_float_param_takes_an_int_and_vocab_a_list(dns_config_path):
+    raw = json.loads(dns_config_path.read_text())
+    raw["params"].update(compute_limit=500, vocab=["dns_error", "latency_high"])
+    params = config_from_dict(raw).params
+    assert params.compute_limit == 500
+    assert list(params.vocab) == ["dns_error", "latency_high"]
+
+
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        ({"kg": 40}, r"params.section_caps names unknown sections \['kg'\]"),
+        ({"kg_subgraph": "24"}, "params.section_caps.kg_subgraph must be an int >= 0, got '24'"),
+        ({"rules": -1}, "params.section_caps.rules must be an int >= 0, got -1"),
+        ({"rules": 2.5}, "params.section_caps.rules must be an int >= 0, got 2.5"),
+        ({"rules": True}, "params.section_caps.rules must be an int >= 0, got True"),
+    ],
+)
+def test_bad_section_caps_are_config_errors(dns_config_path, caps, message):
+    raw = json.loads(dns_config_path.read_text())
+    raw["params"]["section_caps"] = caps
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
+
+
+def test_partial_section_caps_keep_the_default_caps_of_the_other_sections(
+    dns_config_path, tmp_path
+):
+    # Once a partial override replaced the defaults, so every section it
+    # did not name got a cap of one unit: ep-0001 packed one short-term
+    # alert and one runbook, abstained and escalated.
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 2
+    plain = run(config_from_dict(raw), tmp_path / "plain")
+    raw["params"]["section_caps"] = {"kg_subgraph": 40, "task": 0}
+    capped = run(config_from_dict(raw), tmp_path / "capped")
+    included = [t["section"] for t in capped.episode_runs[0].pack_traces[0] if t["included"]]
+    assert included.count("short_term") == 4 and included.count("runbooks") == 2
+    assert capped.rows[0]["resolved"] and capped.rows[0]["correct"]
+    # the subgraph fits under both caps and a task cap of 0 still packs the
+    # task, so the run is the default run
+    assert capped.rows == plain.rows
+    assert [r.pack_traces for r in capped.episode_runs] == [r.pack_traces for r in plain.episode_runs]
+
+
 def test_policy_must_bind_to_known_service(tmp_path):
     raw = tiny_run_dict(policies=[{"id": "pol-x", "applies_to": ["svc-ghost"]}])
     cfg = config_from_dict(raw)
