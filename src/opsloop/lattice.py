@@ -22,6 +22,17 @@ learning passes the history only grows, so `context_from_episodes` extends
 the last context it built and moves that context's lattice into the new
 one, inserting only the new rows.
 
+Mining is continual in the same way. A lattice remembers the intents its
+insertions touched (the old intents that gained an object and the new
+ones) and, from the last `mine_rules` on it, the `min_support` used and
+the frequent rule-shaped intents found. The next `mine_rules` at the same
+`min_support` reads only those frequent intents and the touched ones; a
+fresh lattice or another `min_support` reads every intent. Nothing else
+can yield a rule: an untouched intent keeps its extent while `n` only
+grows, so one below support stays below. Confidence is recomputed for
+every intent read, because an antecedent's extent can grow when the
+intent's does not.
+
 NextClosure only defines the count. `closure_calls` counts the candidate
 closures Ganter's NextClosure would examine to list the lattice, one per
 candidate attribute tried, and that count is a learning pass's `ill`
@@ -37,6 +48,7 @@ import copy
 import json
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .config import (
@@ -63,6 +75,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# Binary digits to 0/1 bytes, for `compress`.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selected(names: tuple[str, ...], mask: int) -> Iterator[str]:
+    """The names at the set bits of `mask`, in order, in one C-level pass:
+    the mask's binary digits, reversed, flag each name in turn."""
+    return compress(names, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+
 def _lectic_key(width: int):
     """A sort key for masks over `width` attributes in lectic order: the
     bits reversed, so that attribute 0 is the most significant."""
@@ -80,12 +102,19 @@ def _tries(a: int, b: int, full: int) -> int:
 
 @dataclass
 class _Lattice:
-    """A context's concepts: the intents in ascending lectic order, the
-    extent mask of each, and the candidates NextClosure tries to list them."""
+    """A context's concepts: the intents in ascending lectic order, their
+    lectic keys in the same order, the extent mask of each, and the
+    candidates NextClosure tries to list them. For continual mining: the
+    intents inserted or grown since the last `mine_rules`, and that pass's
+    `min_support` and frequent rule-shaped intents."""
 
     intents: list[int]
+    keys: list[int]
     extents: dict[int, int]
     closure_calls: int
+    touched: set[int] = field(default_factory=set)
+    mined_support: float | None = None
+    frequent: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -148,10 +177,10 @@ class FormalContext:
         return mask
 
     def _attrs_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(self.attributes[i] for i in _bits(mask))
+        return frozenset(_selected(self.attributes, mask))
 
     def _objs_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(self.objects[i] for i in _bits(mask))
+        return frozenset(_selected(self.objects, mask))
 
     def _extent_mask(self, attr_mask: int) -> int:
         extent = self._all_objects
@@ -185,18 +214,25 @@ class FormalContext:
 
     # -- concept enumeration -----------------------------------------------------
 
-    def _concept_masks(self) -> list[tuple[int, int]]:
-        """(extent, intent) masks of all concepts, intents in ascending
-        lectic order. Each call adds the lattice's NextClosure count to
-        `closure_calls`, as listing the lattice afresh would."""
+    def _listed_lattice(self) -> _Lattice:
+        """The lattice, built first if there is none. Each call adds the
+        lattice's NextClosure count to `closure_calls`, as listing the
+        lattice afresh would."""
         lattice = self._lattice
         if lattice is None:
             # The lattice of no objects: the full set, one closure to reach.
             full = self._all_attrs
-            lattice = self._lattice = _Lattice([full], {full: 0}, 1)
+            key = _lectic_key(len(self.attributes))(full)
+            lattice = self._lattice = _Lattice([full], [key], {full: 0}, 1)
             for oi, row in enumerate(self._obj_intents):
                 self._insert(1 << oi, row)
         self.closure_calls += lattice.closure_calls
+        return lattice
+
+    def _concept_masks(self) -> list[tuple[int, int]]:
+        """(extent, intent) masks of all concepts, intents in ascending
+        lectic order."""
+        lattice = self._listed_lattice()
         extents = lattice.extents
         return [(extents[intent], intent) for intent in lattice.intents]
 
@@ -206,18 +242,23 @@ class FormalContext:
         inside `row` are the old intents among the intersections of each
         intent with `row`, and they gain the object. The other intersections
         become intents, each placed in lectic order, and the count trades
-        its neighbours' term for the two through it. A fresh build inserts
-        into a context that already holds every row, so each new extent is
-        final when it is made and the later bits it gains are already set."""
+        its neighbours' term for the two through it. Every intersection is
+        touched, which matters once the lattice is mined. A fresh build inserts into a context that already holds
+        every row, so each new extent is final when it is made and the
+        later bits it gains are already set."""
         lattice = self._lattice
-        intents, extents = lattice.intents, lattice.extents
+        intents, keys, extents = lattice.intents, lattice.keys, lattice.extents
         key, full = _lectic_key(len(self.attributes)), self._all_attrs
-        for intent in {intent & row for intent in intents}:
+        meets = {intent & row for intent in intents}
+        if lattice.mined_support is not None:  # else the next mining reads every intent
+            lattice.touched |= meets
+        for intent in meets:
             if intent in extents:
                 extents[intent] |= bit
                 continue
             extents[intent] = self._extent_mask(intent)
-            i = bisect.bisect(intents, key(intent), key=key)
+            k = key(intent)
+            i = bisect.bisect(keys, k)
             after = intents[i]  # never past the end: the full set is last
             calls = _tries(intent, after, full)
             if i:
@@ -225,6 +266,7 @@ class FormalContext:
                 calls += _tries(before, intent, full) - _tries(before, after, full)
             lattice.closure_calls += calls
             intents.insert(i, intent)
+            keys.insert(i, k)
 
     def _extended(self, rows: dict[str, int]) -> FormalContext:
         """This context with `rows` (new object name -> intent mask over the
@@ -364,7 +406,7 @@ def context_from_episodes(episodes: list, vocab: tuple[str, ...]) -> FormalConte
     context is extended and its lattice moved into the new one. Anything
     else (a dropped episode, a new attribute, another history) rebuilds."""
     global _last
-    ordered = sorted(episodes, key=lambda e: e.episode_id)
+    ordered = sorted(episodes, key=operator.attrgetter("episode_id"))
     vocab_set = set(vocab)
     context = _extend_last(ordered, vocab, vocab_set)
     if context is None:
@@ -432,23 +474,36 @@ def mine_rules(
     Each concept intent I splits into antecedent A = symptom attributes and
     consequent C = outcome labels; the rule A => C is kept when both halves
     are nonempty and support |ext(I)|/n and confidence |ext(I)|/|ext(A)|
-    clear the thresholds. Counting is exact."""
+    clear the thresholds. Counting is exact.
+
+    On a lattice mined before at the same `min_support`, only the intents
+    that were frequent then or touched since are read (module docstring);
+    each call adds the lattice's NextClosure count to `closure_calls`."""
     n = len(context.objects)
     if n == 0:
         return []
+    lattice = context._listed_lattice()
+    extents = lattice.extents
+    if lattice.mined_support == min_support:
+        candidates = lattice.touched.union(lattice.frequent)
+    else:
+        candidates = lattice.intents
     outcome = context._attr_mask(a for a in context.attributes if is_outcome_label(a))
+    frequent: list[int] = []
     rules: dict[str, Rule] = {}
-    for extent, intent in context._concept_masks():
+    for intent in candidates:
         ante_mask = intent & ~outcome
         cons_mask = intent & outcome
         if not ante_mask or not cons_mask:
             continue
+        extent = extents[intent]
         full_count = extent.bit_count()
         if full_count == 0:
             continue
         support = full_count / n
         if support < min_support:
             continue
+        frequent.append(intent)
         # ext(A) contains ext(I), so it is not empty either.
         confidence = full_count / context._extent_mask(ante_mask).bit_count()
         if confidence < min_confidence:
@@ -458,9 +513,11 @@ def mine_rules(
             consequent=context._attrs_from_mask(cons_mask),
             support=support,
             confidence=confidence,
-            provenance=tuple(sorted(context._objs_from_mask(extent))),
+            provenance=tuple(sorted(_selected(context.objects, extent))),
         )
         rules[rule.rule_id] = rule
+    lattice.touched = set()
+    lattice.mined_support, lattice.frequent = min_support, frequent
     return [rules[k] for k in sorted(rules)]
 
 

@@ -21,7 +21,7 @@ from .cluster import (
     build_topology,
     check_scenario,
 )
-from .config import SECTION_ORDER, FaultKind
+from .config import SECTION_ORDER, ActionKind, FaultKind
 from .ingest import TelemetryFeed
 from .lattice import rules_jsonl
 from .memory import (
@@ -83,6 +83,48 @@ _PARAM_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"),
 # The least value each size param can run with: a ring, a buffer and a pack
 # need room for one item, and a subgraph radius counts hops from 0.
 _PARAM_MINIMUMS = {"detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1}
+_ACTION_NAMES = frozenset(a.value for a in ActionKind)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_names(value, what: str, allowed: frozenset[str] | None = None) -> None:
+    """Reject `value` unless it is a list of strings, each in `allowed` if given."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, str) and (allowed is None or v in allowed) for v in value
+    ):
+        kind = f"names in {sorted(allowed)}" if allowed is not None else "strings"
+        raise ConfigError(f"{what} must be a list of {kind}, got {value!r}")
+
+
+def _check_runbooks_and_policies(raw: dict, topology: ClusterTopology) -> None:
+    """Seed runbooks and policies, in the shapes `_build_memories` reads."""
+    runbooks = raw.get("seed_runbooks", [])
+    policies = raw.get("policies", [])
+    for key, value in (("seed_runbooks", runbooks), ("policies", policies)):
+        if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+            raise ConfigError(f"{key} must be a list of objects")
+    ids: set[str] = set()
+    for i, rb in enumerate(runbooks):
+        for key in ("id", "trigger", "steps"):
+            if key not in rb:
+                raise ConfigError(f"seed_runbooks[{i}] missing {key!r}")
+        if not isinstance(rb["id"], str) or rb["id"] in ids:
+            raise ConfigError(f"seed_runbooks[{i}] id must be a new string, got {rb['id']!r}")
+        ids.add(rb["id"])
+        _check_names(rb["trigger"], f"seed_runbooks[{i}].trigger")
+        _check_names(rb["steps"], f"seed_runbooks[{i}].steps", _ACTION_NAMES)
+        if not rb["steps"]:
+            raise ConfigError(f"seed_runbooks[{i}].steps must not be empty")
+        _check_names(rb.get("policy_tags", []), f"seed_runbooks[{i}].policy_tags")
+    services = frozenset(topology.services)
+    for i, pol in enumerate(policies):
+        if not isinstance(pol.get("id"), str):
+            raise ConfigError(f"policies[{i}] id must be a string, got {pol.get('id')!r}")
+        _check_names(pol.get("applies_to", []), f"policy {pol['id']!r} applies_to", services)
+    _check_names(raw.get("blocked_policy_tags", []), "blocked_policy_tags")
 
 
 def _episode_id(index: int) -> str:
@@ -112,11 +154,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
     try:
-        seed = int(raw["seed"])
-        episodes = int(raw.get("episodes", 0))
+        seed = raw["seed"]
+        episodes = raw.get("episodes", 0)
         topology_spec = raw["topology"]
     except KeyError as exc:
         raise ConfigError(f"missing required config key: {exc}") from None
+    for key, value in (("seed", seed), ("episodes", episodes)):
+        if not _is_int(value):
+            raise ConfigError(f"{key} must be an int, got {value!r}")
     if episodes < 0:
         raise ConfigError("episodes must be >= 0")
     try:
@@ -165,17 +210,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"params.section_caps names unknown sections {unknown}")
     for section, cap in caps.items():
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        if not _is_int(cap) or cap < 0:
             raise ConfigError(f"params.section_caps.{section} must be an int >= 0, got {cap!r}")
     params = LoopParams(**params_raw)
     for name, least in _PARAM_MINIMUMS.items():
         if getattr(params, name) < least:
             raise ConfigError(f"params.{name} must be >= {least}")
 
-    for i, rb in enumerate(raw.get("seed_runbooks", [])):
-        for key in ("id", "trigger", "steps"):
-            if key not in rb:
-                raise ConfigError(f"seed_runbooks[{i}] missing {key!r}")
+    _check_runbooks_and_policies(raw, topology)
     return RunConfig(
         seed=seed,
         episodes=episodes,

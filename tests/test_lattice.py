@@ -504,13 +504,13 @@ def expected_concepts(episodes, vocab, min_s, min_c):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.data(), st.sampled_from([(0.0, 0.0), (0.1, 0.5), (0.2, 0.8)]))
-def test_incremental_passes_equal_fresh_contexts(data, thresholds):
+@given(st.data())
+def test_incremental_passes_equal_fresh_contexts(data):
     """Each `context_from_episodes` call, whether it extends the last
     context or rebuilds, gives the concepts, closure count, rules and csv
-    of a context built afresh from the same rows. A context that handed
-    its lattice on still lists its own concepts."""
-    min_s, min_c = thresholds
+    of a context built afresh from the same rows, at thresholds drawn for
+    that call, and mining it again gives the same rules. A context that
+    handed its lattice on still lists its own concepts."""
     history: list = []
     vocab = WIDE_VOCAB
     serial = iter(range(10_000))
@@ -521,6 +521,8 @@ def test_incremental_passes_equal_fresh_contexts(data, thresholds):
 
     def call(episodes):
         nonlocal previous
+        min_s = data.draw(st.sampled_from([0.0, 0.1, 0.2]))
+        min_c = data.draw(st.sampled_from([0.0, 0.5, 0.8]))
         expected = expected_concepts(episodes, vocab, min_s, min_c)
         if expected is None:
             with pytest.raises(ContextError, match="outside the vocabulary"):
@@ -531,6 +533,9 @@ def test_incremental_passes_equal_fresh_contexts(data, thresholds):
         assert ctx.concepts() == concepts
         assert ctx.closure_calls == calls
         assert mine_rules(ctx, min_s, min_c) == rules
+        assert mine_rules(ctx, min_s, min_c) == rules
+        # Mining counts the lattice as listing it does, unless there are no rows.
+        assert ctx.closure_calls == (3 if episodes else 1) * calls
         assert ctx.to_csv() == csv
         if previous is not None:
             assert previous[0].concepts() == previous[1]
@@ -556,6 +561,55 @@ def test_incremental_passes_equal_fresh_contexts(data, thresholds):
             call([data.draw(drawn_episode(ep.episode_id, symptoms=WIDE_VOCAB))
                   for ep in history])
         call(history)
+
+
+def copy_of(context: FormalContext) -> FormalContext:
+    """A fresh context of the same rows, which mines every intent."""
+    return FormalContext.from_csv(context.to_csv())
+
+
+def _rule_ids(rules):
+    return [(r.rule_id, r.support, r.confidence, r.provenance) for r in rules]
+
+
+def test_a_rule_falls_below_support_with_no_new_object():
+    # {cpu_high, disk_high, cause_noisy_neighbor} holds 2 of 4 objects, then
+    # 2 of 6: the new rows never meet it, but n grows past its support.
+    # {dns_error, cause_dns_error_burst} gains both and stays frequent.
+    noisy = [_episode(f"ep-{i}", {"cpu_high", "disk_high"}) for i in (1, 2)]
+    dns = [_episode(f"ep-{i}", {"dns_error"}, cause="cause_dns_error_burst")
+           for i in range(3, 7)]
+    first = context_from_episodes(noisy + dns[:2], VOCAB)
+    assert [r.rule_id for r in mine_rules(first, 0.5, 0.8)] == [
+        "rule:cpu_high+disk_high=>cause_noisy_neighbor",
+        "rule:dns_error=>cause_dns_error_burst",
+    ]
+    second = context_from_episodes(noisy + dns, VOCAB)
+    assert second._lattice is not None  # extended, not rebuilt
+    mined = mine_rules(second, 0.5, 0.8)
+    assert [r.rule_id for r in mined] == ["rule:dns_error=>cause_dns_error_burst"]
+    assert _rule_ids(mined) == _rule_ids(mine_rules(copy_of(second), 0.5, 0.8))
+    # At a lower support the same lattice is read in full again.
+    assert _rule_ids(mine_rules(second, 0.3, 0.8)) == _rule_ids(
+        mine_rules(copy_of(second), 0.3, 0.8))
+    assert len(mine_rules(second, 0.3, 0.8)) == 2
+
+
+def test_a_rule_loses_confidence_when_only_its_antecedent_grows():
+    # The new rows hold cpu_high and disk_high with no cause, so the
+    # antecedent's extent grows from 2 to 4 objects while the rule's own
+    # intent, still frequent at 2 of 6, gains none: confidence 1.0 -> 0.5.
+    noisy = [_episode(f"ep-{i}", {"cpu_high", "disk_high"}) for i in (1, 2)]
+    dns = [_episode(f"ep-{i}", {"dns_error"}, cause="cause_dns_error_burst") for i in (3, 4)]
+    bare = [_episode(f"ep-{i}", {"cpu_high", "disk_high"}, cause=None) for i in (5, 6)]
+    rule = "rule:cpu_high+disk_high=>cause_noisy_neighbor"
+    first = context_from_episodes(noisy + dns, VOCAB)
+    assert rule in [r.rule_id for r in mine_rules(first, 0.2, 0.8)]
+    second = context_from_episodes(noisy + dns + bare, VOCAB)
+    assert second._lattice is not None
+    mined = mine_rules(second, 0.2, 0.8)
+    assert rule not in [r.rule_id for r in mined]
+    assert _rule_ids(mined) == _rule_ids(mine_rules(copy_of(second), 0.2, 0.8))
 
 
 def test_mine_rules_empty_context():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -237,11 +238,69 @@ def test_partial_section_caps_keep_the_default_caps_of_the_other_sections(
     assert [r.pack_traces for r in capped.episode_runs] == [r.pack_traces for r in plain.episode_runs]
 
 
-def test_policy_must_bind_to_known_service(tmp_path):
+def test_policy_must_bind_to_known_service():
+    # Once this loaded and then raised inside run(), after the run
+    # directory was made.
     raw = tiny_run_dict(policies=[{"id": "pol-x", "applies_to": ["svc-ghost"]}])
-    cfg = config_from_dict(raw)
     with pytest.raises(ConfigError, match="pol-x"):
-        run(cfg, tmp_path / "out")
+        config_from_dict(raw)
+
+
+def _set(path, value):
+    """A mutation that sets raw[path[0]][path[1]]... to `value`."""
+    def mutate(raw):
+        *head, last = path
+        for key in head:
+            raw = raw[key]
+        raw[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (_set(["seed"], "abc"), "seed must be an int, got 'abc'"),
+        (_set(["seed"], 7.0), "seed must be an int, got 7.0"),
+        (_set(["seed"], True), "seed must be an int, got True"),
+        (_set(["episodes"], 2.7), "episodes must be an int, got 2.7"),
+        (_set(["episodes"], "6"), "episodes must be an int, got '6'"),
+        (_set(["seed_runbooks", 0, "trigger"], "dns_error"),
+         r"seed_runbooks\[0\].trigger must be a list of strings, got 'dns_error'"),
+        (_set(["seed_runbooks", 0, "steps"], "flush_dns_cache"),
+         r"seed_runbooks\[0\].steps must be a list of names in \['drain_node'"),
+        (_set(["seed_runbooks", 0, "steps"], ["reboot_everything"]),
+         r"seed_runbooks\[0\].steps must be a list of names in .*, got \['reboot_everything'\]"),
+        (_set(["seed_runbooks", 0, "steps"], []), r"seed_runbooks\[0\].steps must not be empty"),
+        (_set(["seed_runbooks", 1, "id"], "rb-flush-dns"),
+         r"seed_runbooks\[1\] id must be a new string, got 'rb-flush-dns'"),
+        (_set(["seed_runbooks", 1, "policy_tags"], "risky"),
+         r"seed_runbooks\[1\].policy_tags must be a list of strings, got 'risky'"),
+        (lambda raw: raw["policies"][0].pop("id"), r"policies\[0\] id must be a string, got None"),
+        (_set(["policies", 0, "applies_to"], ["svc-ghost"]),
+         r"policy 'policy-change-freeze' applies_to must be a list of names in .*, got \['svc-ghost'\]"),
+        (_set(["blocked_policy_tags"], "risky"), "blocked_policy_tags must be a list of strings"),
+    ],
+    ids=["seed_str", "seed_float", "seed_bool", "episodes_float", "episodes_str",
+         "trigger_str", "steps_str", "steps_unknown_action", "steps_empty", "runbook_id_twice",
+         "policy_tags_str", "policy_without_id", "policy_on_unknown_service",
+         "blocked_tags_str"],
+)
+def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
+    dns_config_path, tmp_path, capsys, mutation, message
+):
+    # Each once loaded and then crashed the run or left an empty run
+    # directory, crashed the load (exit 2), or loaded wrong: a string
+    # trigger became the set of its letters and a float episode count was
+    # truncated.
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 2
+    mutation(raw)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opsloop: config error: ")
+    assert re.search(message, err), err
+    assert not out_dir.exists()
 
 
 # -- aggregates (pure function) --------------------------------------------------
