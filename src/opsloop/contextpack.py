@@ -213,11 +213,10 @@ def update_weights(
     weights: dict[str, float],
     cited_sections: set[str],
     success: bool,
-    step: float = WEIGHT_STEP,
 ) -> dict[str, float]:
     """Nudge section weights from diagnosis feedback, clamped to bounds."""
     out = dict(weights)
-    delta = step if success else -step
+    delta = WEIGHT_STEP if success else -WEIGHT_STEP
     for section in cited_sections:
         if section in SECTION_ORDER:
             current = out.get(section, 1.0)

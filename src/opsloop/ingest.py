@@ -188,18 +188,17 @@ def _event_alerts(records: Iterable[UnifiedRecord]) -> list[Alert]:
 def detect_anomalies(
     window: FeedWindow,
     *,
-    alpha: float = EWMA_ALPHA,
-    k: float = DETECT_K,
     min_ticks: int = DETECT_WINDOW,
     noise_pct: float | None = None,
 ) -> list[Alert]:
     """Score the feed's window and return alerts, sorted by (entity, attribute).
 
-    Metric series need at least `min_ticks` live ticks; the EWMA starts at
-    the metric baseline and an alert fires when the smoothed value ends the
-    window more than k sigma away from baseline. Severity escalates at the
-    3/5/8 sigma buckets. Events with nonzero severity alert directly. Every
-    alert cites the window records that support it.
+    Metric series need at least `min_ticks` live ticks; the EWMA (weight
+    `EWMA_ALPHA`) starts at the metric baseline and an alert fires when the
+    smoothed value ends the window more than `DETECT_K` sigma away from
+    baseline. Severity escalates at the 3/5/8 sigma buckets. Events with
+    nonzero severity alert directly. Every alert cites the window records
+    that support it.
 
     The recurrence runs on whole frames, tick by tick. An entity's series
     is its live ticks (a prefix of the window, since removal is permanent).
@@ -216,9 +215,9 @@ def detect_anomalies(
         sigma = np.array([_sigma(m, noise_pct) for m in METRICS])
         ewma = np.broadcast_to(baseline, values.shape[1:])
         for x, is_live in zip(values, live):
-            ewma = np.where(is_live[:, None], alpha * x + (1.0 - alpha) * ewma, ewma)
+            ewma = np.where(is_live[:, None], EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * ewma, ewma)
         deviation = np.abs(ewma - baseline)
-        fired = np.where(sigma > 0.0, deviation > k * sigma, deviation > 0.0)
+        fired = np.where(sigma > 0.0, deviation > DETECT_K * sigma, deviation > 0.0)
         fired &= (live.sum(axis=0) >= min_ticks)[:, None]
         for i, j in zip(*(ix.tolist() for ix in np.nonzero(fired))):
             metric = METRICS[j]

@@ -8,6 +8,10 @@ triples that touch it), filled on assert, is never invalidated; queries
 with a bound subject or object and subgraph extraction read it instead of
 scanning the graph. Subgraph extraction treats triples as undirected
 edges. `bfs` is the one breadth-first search the package uses.
+
+`INFRA_CHAIN` is the one declared walk up the fleet's hardware, pod to
+node to rack to switch; fault localisation and the alert-to-service
+mapping both follow it.
 """
 from __future__ import annotations
 
@@ -18,6 +22,11 @@ KG_FORMAT = "opsloop-kg"
 KG_VERSION = 1
 
 LITERAL = "literal"
+
+# The infrastructure chain, bottom up: relation i links INFRA_CLASSES[i]
+# to INFRA_CLASSES[i + 1] in the default ontology.
+INFRA_CHAIN = ("runs_on", "member_of", "uplink")
+INFRA_CLASSES = ("Pod", "Node", "Rack", "ToRSwitch")
 
 
 class OntologyError(Exception):

@@ -52,7 +52,7 @@ from .contextpack import BudgetPolicy, IncidentDescriptor, assemble, update_weig
 from .ingest import Alert, TelemetryFeed, TickBatch, detect_anomalies
 from .lattice import DistillReport, RetireCriteria, distill, retire_rules, validated_rules
 from .memory import Episode, ForgetCriteria, Memories
-from .memory.knowledge import bfs
+from .memory.knowledge import INFRA_CHAIN, INFRA_CLASSES, bfs
 from .reasoner import ActionPlan, Diagnosis, diagnose, lead_alert_key, make_plan
 
 
@@ -277,37 +277,34 @@ class AgentLoop:
     # -- helpers ---------------------------------------------------------------
 
     def _to_service(self, entity: str, ledger: BudgetLedger) -> str:
-        """Map an alerting entity to the service it affects, via the graph."""
+        """Map an alerting entity to the service it affects, via the graph.
+
+        An entity of an `INFRA_CLASSES` class is walked down `INFRA_CHAIN`
+        to the pods beneath it, depth first in query order, and the first
+        pod that serves a service names it. Each graph query is charged to
+        `memory` by the triples it returns, at least one. Any other entity,
+        or one with no serving pod beneath it, maps to itself."""
         kg = self.memories.kg
         cls = kg.class_of(entity)
+        if cls not in INFRA_CLASSES:
+            return entity
 
         def charged_query(s, p, o):
             res = kg.query(s, p, o)
             ledger.charge("memory", TARIFF_MEMORY_ITEM * max(len(res), 1))
             return res
 
-        if cls == "Pod":
-            serves = charged_query(entity, "serves", None)
-            return serves[0].object if serves else entity
-        if cls == "Node":
-            pods = charged_query(None, "runs_on", entity)
-            for t in pods:
-                serves = charged_query(t.subject, "serves", None)
-                if serves:
-                    return serves[0].object
-            return entity
-        if cls == "ToRSwitch":
-            racks = charged_query(None, "uplink", entity)
-            for rack_t in racks:
-                nodes = charged_query(None, "member_of", rack_t.subject)
-                for node_t in nodes:
-                    pods = charged_query(None, "runs_on", node_t.subject)
-                    for pod_t in pods:
-                        serves = charged_query(pod_t.subject, "serves", None)
-                        if serves:
-                            return serves[0].object
-            return entity
-        return entity
+        def down(e: str, chain: tuple[str, ...]) -> str | None:
+            if not chain:
+                serves = charged_query(e, "serves", None)
+                return serves[0].object if serves else None
+            for t in charged_query(None, chain[-1], e):
+                found = down(t.subject, chain[:-1])
+                if found is not None:
+                    return found
+            return None
+
+        return down(entity, INFRA_CHAIN[:INFRA_CLASSES.index(cls)]) or entity
 
     def _stop_met(self, batch: TickBatch, stop) -> bool:
         attr = stop.attribute

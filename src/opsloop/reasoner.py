@@ -4,14 +4,21 @@ Two routes, cheapest first. If any validated rule's antecedent is covered
 by the observed symptoms, hypotheses come straight from those rules at one
 compute unit per rule and graph propagation is skipped entirely. Otherwise
 severity scores are propagated from the affected service across the packed
-subgraph with geometric distance decay, and per-entity symptom patterns
-are matched against the fault signature table.
+subgraph with geometric distance decay.
+
+Both routes localise a fault kind through one table, `_localise`: an
+alerting entity is a candidate when its symptoms cover the kind's
+`FAULT_SIGNATURE`, and its suspect is found by walking the kind's share of
+`INFRA_CHAIN` over the packed triples. The rule route blames the first
+candidate by name; the propagation route offers one hypothesis per
+candidate.
 
 Every hypothesis cites the pack items it used, so a diagnosis can be
 audited against exactly what the reasoner was shown.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .config import (
@@ -25,7 +32,7 @@ from .config import (
     FaultKind,
 )
 from .contextpack import ContextPack, task_descriptor
-from .memory.knowledge import Triple, bfs
+from .memory.knowledge import INFRA_CHAIN, Triple, bfs
 from .memory.runbooks import Runbook
 
 
@@ -93,14 +100,14 @@ class ActionPlan:
         }
 
 
-def _alerts_from_pack(pack: ContextPack) -> list[tuple[str, object]]:
-    """(pack key, alert) pairs from the short-term section."""
-    out = []
+def _alerts_by_entity(pack: ContextPack) -> dict[str, list[tuple[str, object]]]:
+    """(pack key, alert) pairs from the short-term section, by alerting entity."""
+    out: dict[str, list[tuple[str, object]]] = {}
     for item in pack.section("short_term"):
         payload = item.payload
         alert = getattr(payload, "payload", payload)  # buffer item wraps the alert
         if hasattr(alert, "attribute") and hasattr(alert, "severity"):
-            out.append((item.key, alert))
+            out.setdefault(alert.entity, []).append((item.key, alert))
     return out
 
 
@@ -131,141 +138,108 @@ def _follow(
     return entity, path
 
 
-_TO_SWITCH = ("runs_on", "member_of", "uplink")  # pod -> node -> rack -> switch
-_TO_NODE = ("runs_on",)  # pod -> node
+# How far up INFRA_CHAIN each kind's suspect sits from the alerting entity:
+# a ToR fault is blamed on the switch above, a noisy neighbour on the node
+# under the pod, and every other kind on the alerting entity itself.
+_WALK = {
+    FaultKind.TOR_PACKET_LOSS: INFRA_CHAIN,
+    FaultKind.NOISY_NEIGHBOR: INFRA_CHAIN[:1],
+}
 
 
-def diagnose(
-    pack: ContextPack,
-    *,
-    decay: float = PROPAGATION_DECAY,
-    boost: float = RULE_SCORE_BOOST,
-) -> Diagnosis:
+def _localise(
+    kind: FaultKind,
+    attrs: dict[str, frozenset[str]],
+    triples: list[Triple],
+    affected_service: str,
+) -> Iterator[tuple[str, str, list[Triple]]]:
+    """(alerting entity, suspect, triples walked) for each entity whose
+    symptoms cover the kind's signature, in name order.
+
+    The suspect is the end of the kind's walk, or the entity itself when a
+    hop is missing from the pack. Ingress throttling is read only on the
+    affected service."""
+    signature = FAULT_SIGNATURE[kind]
+    entities = (affected_service,) if kind is FaultKind.INGRESS_THROTTLE else sorted(attrs)
+    for entity in entities:
+        if signature <= attrs.get(entity, frozenset()):
+            end, path = _follow(entity, triples, _WALK.get(kind, ()))
+            yield entity, end or entity, path
+
+
+def _ranked(hypotheses: Iterable[RootCauseHypothesis]) -> tuple[RootCauseHypothesis, ...]:
+    """The best-scoring hypothesis per (kind, suspect), the first on ties,
+    ranked by score, then suspect, then kind."""
+    best: dict[tuple[FaultKind, str], RootCauseHypothesis] = {}
+    for hyp in hypotheses:
+        key = (hyp.fault_kind, hyp.suspect_entity)
+        if key not in best or hyp.score > best[key].score:
+            best[key] = hyp
+    return tuple(sorted(best.values(), key=lambda h: (-h.score, h.suspect_entity, h.fault_kind.value)))
+
+
+def diagnose(pack: ContextPack) -> Diagnosis:
     """Rank root-cause hypotheses from the pack; empty ranking means abstain."""
     descriptor = task_descriptor(pack)
-    symptoms = descriptor.symptom_attributes
-    keyed_alerts = _alerts_from_pack(pack)
+    affected_service = descriptor.affected_service
+    by_entity = _alerts_by_entity(pack)
+    attrs = {e: frozenset(alert.attribute for _, alert in pairs) for e, pairs in by_entity.items()}
     triples = [item.payload for item in pack.section("kg_subgraph")]
 
-    # Route 1: validated-rule shortcut.
-    matching = [
-        item for item in pack.section("rules")
-        if item.payload.antecedent <= symptoms
-    ]
+    # Route 1: validated-rule shortcut, blaming each implied kind's first
+    # localised entity.
+    matching = sorted(
+        (item for item in pack.section("rules")
+         if item.payload.antecedent <= descriptor.symptom_attributes),
+        key=lambda it: (-it.payload.confidence, it.payload.rule_id),
+    )
     if matching:
-        hypotheses: dict[tuple[str, str], RootCauseHypothesis] = {}
-        for item in sorted(matching, key=lambda it: (-it.payload.confidence, it.payload.rule_id)):
-            rule = item.payload
-            for label in sorted(rule.cause_labels):
-                kind = FaultKind(label[len(CAUSE_PREFIX):])
-                suspect, extra = _suspect_for(
-                    kind, keyed_alerts, triples, descriptor.affected_service
-                )
-                evidence = (item.key,) + tuple(extra)
-                hyp = RootCauseHypothesis(
-                    fault_kind=kind,
-                    suspect_entity=suspect,
-                    score=rule.confidence * boost,
-                    evidence=evidence,
-                    via_rule=rule.rule_id,
-                )
-                prev = hypotheses.get((kind.value, suspect))
-                if prev is None or hyp.score > prev.score:
-                    hypotheses[(kind.value, suspect)] = hyp
-        ranked = sorted(hypotheses.values(), key=lambda h: (-h.score, h.suspect_entity, h.fault_kind.value))
-        return Diagnosis(tuple(ranked), compute_units=float(len(matching)), path="rule_shortcut")
+        def from_rules():
+            for item in matching:
+                rule = item.payload
+                for label in sorted(rule.cause_labels):
+                    kind = FaultKind(label[len(CAUSE_PREFIX):])
+                    suspect = next(
+                        (s for _, s, _ in _localise(kind, attrs, triples, affected_service)),
+                        affected_service,
+                    )
+                    yield RootCauseHypothesis(
+                        fault_kind=kind,
+                        suspect_entity=suspect,
+                        score=rule.confidence * RULE_SCORE_BOOST,
+                        evidence=(item.key,),
+                        via_rule=rule.rule_id,
+                    )
+
+        return Diagnosis(_ranked(from_rules()), compute_units=float(len(matching)), path="rule_shortcut")
 
     # Route 2: severity propagation over the packed subgraph.
-    if not keyed_alerts:
+    if not by_entity:
         return Diagnosis((), compute_units=0.0, path="abstain")
     adj = _adjacency(triples)
-    center = descriptor.affected_entity or descriptor.affected_service
+    center = descriptor.affected_entity or affected_service
     dist = bfs(center, lambda v: adj.get(v, ()))
-    visited = len(dist)
     # Alert entities outside the packed neighborhood still carry evidence;
     # they score as one hop beyond the farthest reachable entity.
     far = max(dist.values(), default=0) + 1
 
-    by_entity: dict[str, list[tuple[str, object]]] = {}
-    for key, alert in keyed_alerts:
-        by_entity.setdefault(alert.entity, []).append((key, alert))
+    def propagated():
+        for kind in FaultKind:
+            for entity, suspect, path in _localise(kind, attrs, triples, affected_service):
+                pairs = by_entity[entity]
+                yield RootCauseHypothesis(
+                    fault_kind=kind,
+                    suspect_entity=suspect,
+                    score=sum(
+                        alert.severity * PROPAGATION_DECAY ** dist.get(entity, far)
+                        for _, alert in pairs
+                    ),
+                    evidence=tuple(sorted(key for key, _ in pairs))
+                    + tuple(_triple_key(t) for t in path),
+                )
 
-    candidates: dict[tuple[str, str], RootCauseHypothesis] = {}
-    for entity in sorted(by_entity):
-        pairs = by_entity[entity]
-        attrs = {alert.attribute for _, alert in pairs}
-        score = sum(alert.severity * decay ** dist.get(entity, far) for _, alert in pairs)
-        alert_keys = tuple(key for key, _ in sorted(pairs, key=lambda p: p[0]))
-
-        def offer(kind: FaultKind, suspect: str, extra_evidence: tuple[str, ...] = ()) -> None:
-            hyp = RootCauseHypothesis(
-                fault_kind=kind,
-                suspect_entity=suspect,
-                score=score,
-                evidence=alert_keys + extra_evidence,
-            )
-            prev = candidates.get((kind.value, suspect))
-            if prev is None or hyp.score > prev.score:
-                candidates[(kind.value, suspect)] = hyp
-
-        if "dns_error" in attrs:
-            offer(FaultKind.DNS_ERROR_BURST, entity)
-        if "node_decommissioned" in attrs:
-            offer(FaultKind.NODE_DECOMMISSION, entity)
-        if "packet_loss_high" in attrs:
-            switch, path = _follow(entity, triples, _TO_SWITCH)
-            extra = tuple(_triple_key(t) for t in path)
-            offer(FaultKind.TOR_PACKET_LOSS, switch or entity, extra)
-        if {"cpu_high", "disk_high"} <= attrs:
-            node, path = _follow(entity, triples, _TO_NODE)
-            extra = tuple(_triple_key(t) for t in path)
-            offer(FaultKind.NOISY_NEIGHBOR, node or entity, extra)
-        if "latency_high" in attrs and entity == descriptor.affected_service:
-            offer(FaultKind.INGRESS_THROTTLE, entity)
-
-    ranked = sorted(candidates.values(), key=lambda h: (-h.score, h.suspect_entity, h.fault_kind.value))
-    if not ranked:
-        return Diagnosis((), compute_units=float(visited), path="abstain")
-    return Diagnosis(tuple(ranked), compute_units=float(visited), path="propagation")
-
-
-def _suspect_for(
-    kind: FaultKind,
-    keyed_alerts: list[tuple[str, object]],
-    triples: list[Triple],
-    affected_service: str,
-) -> tuple[str, tuple[str, ...]]:
-    """Pick the concrete suspect entity for a rule-implied fault kind."""
-    signature = FAULT_SIGNATURE[kind]
-
-    def first_entity_with(attr: str) -> str | None:
-        entities = sorted(a.entity for _, a in keyed_alerts if a.attribute == attr)
-        return entities[0] if entities else None
-
-    if kind is FaultKind.DNS_ERROR_BURST:
-        found = first_entity_with("dns_error")
-        return found or affected_service, ()
-    if kind is FaultKind.NODE_DECOMMISSION:
-        found = first_entity_with("node_decommissioned")
-        return found or affected_service, ()
-    if kind is FaultKind.TOR_PACKET_LOSS:
-        pod = first_entity_with("packet_loss_high")
-        if pod is not None:
-            switch, _ = _follow(pod, triples, _TO_SWITCH)
-            if switch is not None:
-                return switch, ()
-            return pod, ()
-        return affected_service, ()
-    if kind is FaultKind.NOISY_NEIGHBOR:
-        entities = sorted(
-            e for e in {a.entity for _, a in keyed_alerts}
-            if signature <= {a.attribute for _, a in keyed_alerts if a.entity == e}
-        )
-        if entities:
-            node, _ = _follow(entities[0], triples, _TO_NODE)
-            return node or entities[0], ()
-        return affected_service, ()
-    return affected_service, ()
+    ranked = _ranked(propagated())
+    return Diagnosis(ranked, compute_units=float(len(dist)), path="propagation" if ranked else "abstain")
 
 
 def make_plan(

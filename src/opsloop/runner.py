@@ -84,6 +84,8 @@ _PARAM_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"),
 # need room for one item, and a subgraph radius counts hops from 0.
 _PARAM_MINIMUMS = {"detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1}
 _ACTION_NAMES = frozenset(a.value for a in ActionKind)
+# Learned rules and attribute sets enter the graph under these id prefixes.
+_LEARNED_ID_PREFIXES = ("rule:", "aset:")
 
 
 def _is_int(value) -> bool:
@@ -120,10 +122,26 @@ def _check_runbooks_and_policies(raw: dict, topology: ClusterTopology) -> None:
             raise ConfigError(f"seed_runbooks[{i}].steps must not be empty")
         _check_names(rb.get("policy_tags", []), f"seed_runbooks[{i}].policy_tags")
     services = frozenset(topology.services)
+    # A policy becomes a graph entity, so its id must not be an entity the
+    # graph already holds, or one a learning pass will register later.
+    taken = {
+        name: what
+        for what, names in (
+            ("rack", topology.racks), ("switch", topology.switches), ("node", topology.nodes),
+            ("pod", topology.pods), ("service", services),
+            ("fault kind", [k.value for k in FaultKind]), ("action", _ACTION_NAMES),
+        )
+        for name in names
+    }
     for i, pol in enumerate(policies):
-        if not isinstance(pol.get("id"), str):
-            raise ConfigError(f"policies[{i}] id must be a string, got {pol.get('id')!r}")
-        _check_names(pol.get("applies_to", []), f"policy {pol['id']!r} applies_to", services)
+        pid = pol.get("id")
+        if not isinstance(pid, str):
+            raise ConfigError(f"policies[{i}] id must be a string, got {pid!r}")
+        if pid in taken:
+            raise ConfigError(f"policy {pid!r} id collides with the {taken[pid]} of that name")
+        if pid.startswith(_LEARNED_ID_PREFIXES):
+            raise ConfigError(f"policy {pid!r} id starts with a learned-id prefix {_LEARNED_ID_PREFIXES}")
+        _check_names(pol.get("applies_to", []), f"policy {pid!r} applies_to", services)
     _check_names(raw.get("blocked_policy_tags", []), "blocked_policy_tags")
 
 

@@ -25,7 +25,9 @@ from opsloop.memory import (
     default_ontology,
     embed_features,
 )
-from opsloop.memory.knowledge import LITERAL, Ontology, OntologyError, Triple
+from opsloop.memory.knowledge import (
+    INFRA_CHAIN, INFRA_CLASSES, LITERAL, Ontology, OntologyError, Triple,
+)
 from opsloop.orchestrator import decompose
 
 
@@ -316,6 +318,13 @@ def test_register_entity_class_conflict():
         kg.register_entity("p1", "Node")
     with pytest.raises(OntologyError, match="undeclared class"):
         kg.register_entity("x", "Mystery")
+
+
+def test_infra_chain_follows_the_ontology_bottom_up():
+    relations = default_ontology().relations
+    assert len(INFRA_CLASSES) == len(INFRA_CHAIN) + 1
+    for i, predicate in enumerate(INFRA_CHAIN):
+        assert relations[predicate] == (INFRA_CLASSES[i], INFRA_CLASSES[i + 1])
 
 
 def test_assert_triple_signature_checks():

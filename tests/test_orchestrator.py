@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opsloop.cluster import ClusterSim, FaultScenario, TickFrame, build_topology
-from opsloop.config import BASELINES, METRICS
+from opsloop.config import BASELINES, METRICS, TARIFF_MEMORY_ITEM
 from opsloop.contextpack import IncidentDescriptor
 from opsloop.ingest import TelemetryFeed, TickBatch, UnifiedRecord
 from opsloop.memory import (
@@ -212,6 +212,60 @@ def test_decompose_blast_ties_break_on_name():
         kg.register_entity(svc, "Service")
     subtasks = decompose(_descriptor(["svc-y", "svc-x"]), kg)
     assert [s.affected_service for s in subtasks] == ["svc-x", "svc-y"]
+
+
+# -- alert -> service mapping -------------------------------------------------------
+
+
+def small_loop(topo):
+    kg = KnowledgeGraph(ontology=default_ontology())
+    bootstrap_from_topology(kg, topo)
+    memories = Memories(buffer=ShortTermBuffer(4), episodic=EpisodicStore(), kg=kg,
+                        runbooks=RunbookStore())
+    return AgentLoop(TelemetryFeed(ClusterSim(topo, seed=1)), memories, LoopParams())
+
+
+def expected_mapping(topo, entity):
+    """The service an entity maps to and the rows each charged query
+    returns, worked out from the topology: every level is read in name
+    order and the walk goes down the first row, which in this fleet always
+    reaches a serving pod."""
+    if entity in topo.services:
+        return entity, []
+    rows = []
+    if entity in topo.switches:
+        racks = sorted(r for r, s in topo.switch_of_rack.items() if s == entity)
+        nodes = sorted(n for n, r in topo.rack_of_node.items() if r == racks[0])
+        rows += [len(racks), len(nodes)]
+        entity = nodes[0]
+    if entity in topo.nodes:
+        pods = topo.pods_on_node(entity)
+        rows.append(len(pods))
+        entity = pods[0]
+    return topo.service_of_pod[entity], rows + [1]  # the pod's one serves row
+
+
+@pytest.mark.parametrize("entity", ["pod-ledger-2", "node-3", "tor-2", "svc-payments"],
+                         ids=["Pod", "Node", "ToRSwitch", "Service"])
+def test_to_service_charges_each_query_it_walks(small_topology, entity):
+    service, rows = expected_mapping(small_topology, entity)
+    charged = 0.0
+    for n in rows:
+        charged += TARIFF_MEMORY_ITEM * n
+    ledger = BudgetLedger()
+    assert small_loop(small_topology)._to_service(entity, ledger) == service
+    assert ledger.units.get("memory", 0.0) == charged
+
+
+def test_to_service_maps_a_rack_down_the_chain(small_topology):
+    # rack-2 holds node-3 and node-4; node-3 runs pod-dns-1 and pod-payments-2;
+    # pod-dns-1 serves svc-dns.
+    charged = 0.0
+    for n in (2, 2, 1):
+        charged += TARIFF_MEMORY_ITEM * n
+    ledger = BudgetLedger()
+    assert small_loop(small_topology)._to_service("rack-2", ledger) == "svc-dns"
+    assert ledger.units["memory"] == charged
 
 
 # -- full loop episodes ------------------------------------------------------------

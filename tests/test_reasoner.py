@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opsloop.config import FAULT_SIGNATURE, REMEDY, FaultKind
+from opsloop.cluster import build_topology
+from opsloop.config import FAULT_SIGNATURE, REMEDY, FaultKind, cause_label
 from opsloop.contextpack import ContextPack, IncidentDescriptor, PackItem
 from opsloop.ingest import Alert
 from opsloop.lattice import Rule
 from opsloop.memory.knowledge import Triple
 from opsloop.memory.runbooks import Runbook
 from opsloop.reasoner import diagnose, make_plan
+
+from conftest import small_topology_spec
 
 DECAY = 0.7
 
@@ -251,6 +255,57 @@ def test_partial_switch_chain_blames_the_pod_on_both_routes():
     shortcut = diagnose(pack_of({"packet_loss_high"}, alerts=alerts, triples=cut, rules=(rule,)))
     assert shortcut.path == "rule_shortcut"
     assert shortcut.hypotheses[0].suspect_entity == "p1"
+
+
+SMALL = build_topology(small_topology_spec())
+SMALL_CHAIN = (
+    [Triple(p, "runs_on", n) for p, n in sorted(SMALL.node_of_pod.items())]
+    + [Triple(n, "member_of", r) for n, r in sorted(SMALL.rack_of_node.items())]
+    + [Triple(r, "uplink", s) for r, s in sorted(SMALL.switch_of_rack.items())]
+)
+SIGNATURE_ATTRIBUTES = sorted(set().union(*FAULT_SIGNATURE.values())) + ["mem_high"]
+
+
+@st.composite
+def localisation_scenes(draw):
+    """Alerts on pods, nodes and services of the small fleet, its chain
+    triples with random holes, as a section cap can cut them, and an
+    affected service."""
+    alerts = draw(st.lists(
+        st.builds(alert, st.sampled_from(SMALL.pods + SMALL.nodes + SMALL.services),
+                  st.sampled_from(SIGNATURE_ATTRIBUTES), st.integers(1, 3)),
+        max_size=12,
+    ))
+    holes = draw(st.sets(st.sampled_from(SMALL_CHAIN), max_size=len(SMALL_CHAIN)))
+    triples = [t for t in SMALL_CHAIN if t not in holes]
+    return alerts, triples, draw(st.sampled_from(SMALL.services))
+
+
+@settings(max_examples=150, deadline=None)
+@given(localisation_scenes())
+def test_rule_route_blames_what_propagation_localises_first(scene):
+    alerts, triples, service = scene
+    symptoms = {a.attribute for a in alerts}
+    for kind in FaultKind:
+        rule = make_rule(FAULT_SIGNATURE[kind], {cause_label(kind)})
+        shortcut = diagnose(pack_of(symptoms | FAULT_SIGNATURE[kind], affected_entity=service,
+                                    affected_service=service, alerts=alerts, triples=triples,
+                                    rules=(rule,)))
+        assert shortcut.path == "rule_shortcut"
+        (blamed,) = shortcut.hypotheses
+        # Propagation over each alerting entity's alerts alone, in name
+        # order: the first entity it localises this kind from names the
+        # suspect, and with none the affected service is blamed.
+        expected = service
+        for entity in sorted({a.entity for a in alerts}):
+            own = tuple(a for a in alerts if a.entity == entity)
+            alone = diagnose(pack_of(symptoms, affected_entity=service, affected_service=service,
+                                     alerts=own, triples=triples))
+            offered = [h.suspect_entity for h in alone.hypotheses if h.fault_kind is kind]
+            if offered:
+                (expected,) = offered
+                break
+        assert (blamed.fault_kind, blamed.suspect_entity) == (kind, expected)
 
 
 # -- planning ------------------------------------------------------------------------

@@ -279,11 +279,30 @@ def _set(path, value):
         (_set(["policies", 0, "applies_to"], ["svc-ghost"]),
          r"policy 'policy-change-freeze' applies_to must be a list of names in .*, got \['svc-ghost'\]"),
         (_set(["blocked_policy_tags"], "risky"), "blocked_policy_tags must be a list of strings"),
+        (_set(["policies", 0, "id"], "rack-2"), "policy 'rack-2' id collides with the rack"),
+        (_set(["policies", 0, "id"], "tor-2"), "policy 'tor-2' id collides with the switch"),
+        (_set(["policies", 0, "id"], "node-3"), "policy 'node-3' id collides with the node"),
+        (_set(["policies", 0, "id"], "pod-dns-1"), "policy 'pod-dns-1' id collides with the pod"),
+        (_set(["policies", 0, "id"], "svc-payments"),
+         "policy 'svc-payments' id collides with the service"),
+        (_set(["policies", 0, "id"], "dns_error_burst"),
+         "policy 'dns_error_burst' id collides with the fault kind"),
+        (_set(["policies", 0, "id"], "flush_dns_cache"),
+         "policy 'flush_dns_cache' id collides with the action"),
+        (_set(["policies", 0, "id"], "rule:dns_error"),
+         "policy 'rule:dns_error' id starts with a learned-id prefix"),
+        # With 7 episodes this once ran five, then crashed at the first
+        # learning pass, when the attribute set of that id was registered.
+        (lambda raw: (raw.update(episodes=7),
+                      raw["policies"][0].update(id="aset:dns_error+latency_high")),
+         r"policy 'aset:dns_error\+latency_high' id starts with a learned-id prefix"),
     ],
     ids=["seed_str", "seed_float", "seed_bool", "episodes_float", "episodes_str",
          "trigger_str", "steps_str", "steps_unknown_action", "steps_empty", "runbook_id_twice",
          "policy_tags_str", "policy_without_id", "policy_on_unknown_service",
-         "blocked_tags_str"],
+         "blocked_tags_str", "policy_id_rack", "policy_id_switch", "policy_id_node",
+         "policy_id_pod", "policy_id_service", "policy_id_fault_kind", "policy_id_action",
+         "policy_id_rule", "policy_id_aset"],
 )
 def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
     dns_config_path, tmp_path, capsys, mutation, message
@@ -291,7 +310,8 @@ def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
     # Each once loaded and then crashed the run or left an empty run
     # directory, crashed the load (exit 2), or loaded wrong: a string
     # trigger became the set of its letters and a float episode count was
-    # truncated.
+    # truncated. A policy id that names a graph entity raised OntologyError
+    # when the policy entered the graph.
     raw = json.loads(dns_config_path.read_text())
     raw["episodes"] = 2
     mutation(raw)
