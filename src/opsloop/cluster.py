@@ -357,6 +357,8 @@ class ClusterSim:
         self._noise_order = topology.emitting_entities()
         self._row = {e: i for i, e in enumerate(self._noise_order)}
         self._live = np.ones(len(self._noise_order), dtype=bool)
+        # Scratch for a tick's fault offsets, overwritten by the next tick.
+        self._offsets = np.zeros((len(self._noise_order), len(METRICS)))
         self._all_entities = set(self._noise_order) | set(topology.switches) | set(topology.racks)
 
     @property
@@ -422,7 +424,8 @@ class ClusterSim:
                     self._live[[self._row[e] for e in gone]] = False
 
         # Offsets add up in fault order, cell by cell.
-        offsets = np.zeros((len(self._noise_order), len(METRICS)))
+        offsets = self._offsets
+        offsets.fill(0.0)
         flat = offsets.reshape(-1)
         for fault in self._acting:
             if not fault.contributes_at(tick):
@@ -432,9 +435,17 @@ class ClusterSim:
                 if emitter not in self._removed:
                     events.append(RawEvent(tick, emitter, "dns_error", (("scope", emitter),)))
 
+        # clip((_BASE + offsets) + (noise * noise_pct) * _BASE, 0, _CEILING),
+        # in place on the noise: the sum commutes bit for bit, and the sum is
+        # never -0.0 or NaN, the only inputs on which clip and max/min differ.
         rng = np.random.default_rng((self._seed, SIM_STREAM, tick))
-        noise = rng.uniform(-1.0, 1.0, size=offsets.shape)
-        values = np.clip((_BASE + offsets) + (noise * self._noise_pct) * _BASE, 0.0, _CEILING)
+        values = rng.uniform(-1.0, 1.0, size=offsets.shape)
+        values *= self._noise_pct
+        values *= _BASE
+        offsets += _BASE
+        values += offsets
+        np.maximum(values, 0.0, out=values)
+        np.minimum(values, _CEILING, out=values)
         self._acting = [f for f in self._acting if not f.spent_after(tick)]
         self._tick = tick + 1
         return TickFrame(tick, self._noise_order, self._row, values, self._live.copy()), events

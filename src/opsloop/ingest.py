@@ -4,19 +4,29 @@ Raw simulator output is kept in two shapes. Telemetry stays columnar: the
 feed holds each tick's `TickFrame` (one entity x metric array) in a ring
 of the last W ticks. Discrete events are rare, so each becomes a
 `UnifiedRecord` as it arrives. `UnifiedRecord`s for telemetry are built
-only as evidence of a series that fired, or when a caller iterates a
-batch or the window.
+only for the samples a fired series cites as evidence, or when a caller
+iterates a batch or the window.
 
 The detector scores each (entity, metric) series of the feed's window
-with an exponentially weighted moving average, running the recurrence on
-whole frames, tick by tick. The detector is a pure function of the
-window: re-scoring the same window yields the same alerts.
+with an exponentially weighted moving average started at the baseline b.
+Each step is a convex combination of the sample and the last value, so the
+EWMA stays within max |x - b| of the baseline, up to rounding: a series
+whose samples all lie within the stray threshold 0.9 K sigma of b cannot
+end beyond K sigma, and only the other series are scored. Each batch
+memoises, per detection noise level, the flat indices of its live cells
+beyond that threshold (its stray cells), so a tick's frame is compared
+with the threshold once, and a window whose frames hold no stray cell
+costs no EWMA step. The detector is a pure function of the window:
+re-scoring the same window yields the same alerts.
 """
 from __future__ import annotations
 
+import functools
+import math
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -66,9 +76,23 @@ class TickBatch:
 
     frame: TickFrame
     events: tuple[UnifiedRecord, ...]
+    # Detection noise level -> the flat indices of the frame's stray cells.
+    _strays: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.frame) + len(self.events)
+
+    def strays(self, noise_pct: float | None) -> np.ndarray:
+        """The flat (row-major) indices of the frame's live cells whose
+        sample lies beyond the stray threshold of `noise_pct`, ascending;
+        computed once per noise level."""
+        cells = self._strays.get(noise_pct)
+        if cells is None:
+            frame = self.frame
+            out = np.abs(frame.values - _BASELINE) > _bands(noise_pct).stray
+            out &= frame.live[:, None]
+            cells = self._strays[noise_pct] = np.flatnonzero(out)
+        return cells
 
     def __iter__(self) -> Iterator[UnifiedRecord]:
         for sample in self.frame:
@@ -148,21 +172,77 @@ def _sigma(metric: str, noise_pct: float | None) -> float:
     return noise_pct * BASELINES[metric] / (3.0 ** 0.5)
 
 
-def _metric_alert(recs: list[UnifiedRecord], deviation: float, sigma: float) -> Alert:
-    """The alert of a fired series, given as its records oldest first. It
-    cites the records beyond the evidence floor."""
-    last = recs[-1]
-    baseline = BASELINES[last.attribute]
+_BASELINE = np.array([BASELINES[m] for m in METRICS])
+# A stray sample lies beyond this fraction of the alarm band K sigma.
+_STRAY_FRACTION = 0.9
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@dataclass(frozen=True)
+class _Bands:
+    sigma: tuple[float, ...]  # per metric
+    stray: np.ndarray  # per metric: the stray threshold on |x - baseline|
+
+
+@functools.lru_cache(maxsize=16)
+def _bands(noise_pct: float | None) -> _Bands:
+    """Sigma and the stray threshold theta of each metric at a detection
+    noise level; the alarm band is K sigma.
+
+    A series whose live samples all satisfy |x - b| <= theta ends the
+    window with |EWMA - b| <= theta in exact arithmetic, since the EWMA
+    starts at b and each step alpha*x + (1 - alpha)*ewma is a convex
+    combination (Lucas & Saccucci 1990). In floating point, with unit
+    roundoff u, one step's two products and sum, and 1 - alpha itself, add
+    at most about 3u (|b| + 2 theta), and 1 - alpha damps what is carried
+    in, so the computed EWMA stays within theta + 6u (theta + |b|) / alpha
+    of b over any number of steps. So theta = 0.9 K sigma is used when the
+    0.1 K sigma gap exceeds 32u (K sigma + |b|) / alpha, which leaves room
+    for the rounding of |EWMA - b| and of K sigma too; that holds at every
+    noise level above 1e-13. With b = 0 and sigma = 0 (`pod_restarts`)
+    theta = 0: a series of exact zeros has an EWMA of exactly 0. Otherwise
+    nothing is pruned (theta = -inf).
+
+    The simulator's sampling noise reaches at most noise_pct * b =
+    sqrt(3) sigma, about 0.58 K sigma, so at the simulator's own noise
+    level no noise sample is a stray.
+    """
+    if noise_pct is not None and not 0.0 < noise_pct < math.inf:
+        raise ValueError(f"noise_pct must be a finite number > 0, got {noise_pct!r}")
+    sigma = [_sigma(m, noise_pct) for m in METRICS]
+    stray = []
+    for metric, s in zip(METRICS, sigma):
+        band = DETECT_K * s
+        baseline = abs(BASELINES[metric])
+        rounding = 32.0 * _UNIT_ROUNDOFF * (band + baseline) / EWMA_ALPHA
+        exact = baseline == 0.0 or band - _STRAY_FRACTION * band > rounding
+        stray.append(_STRAY_FRACTION * band if exact else -math.inf)
+    bands = _Bands(tuple(sigma), np.array(stray))
+    bands.stray.flags.writeable = False  # shared by every caller
+    return bands
+
+
+def _metric_alert(
+    entity: str, metric: str, ticks: list[int], values: list[float], deviation: float, sigma: float,
+) -> Alert:
+    """The alert of a fired series, given as its live ticks and samples
+    oldest first. It cites the samples beyond the evidence floor, or the
+    extreme one when none is, and records are built for those alone."""
+    baseline = BASELINES[metric]
     floor = EVIDENCE_FLOOR_SIGMA * sigma
-    evidence = tuple(r for r in recs if abs(r.value - baseline) > floor)
-    if not evidence:  # the extreme sample always clears the floor
-        evidence = (max(recs, key=lambda r: abs(r.value - baseline)),)
+    cited = [k for k, value in enumerate(values) if abs(value - baseline) > floor]
+    if not cited:  # the extreme sample always clears the floor
+        cited = [max(range(len(values)), key=lambda k: abs(values[k] - baseline))]
+    category = CLASSIFICATION[metric].value
     return Alert(
-        tick=last.tick,
-        entity=last.entity,
-        attribute=ANOMALY_ATTR[last.attribute],
+        tick=ticks[-1],
+        entity=entity,
+        attribute=ANOMALY_ATTR[metric],
         severity=_severity_from_sigma(deviation, sigma),
-        evidence=evidence,
+        evidence=tuple(
+            UnifiedRecord(ticks[k], entity, "telemetry", category, metric, values[k], 0)
+            for k in cited
+        ),
     )
 
 
@@ -198,35 +278,44 @@ def detect_anomalies(
     smoothed value ends the window more than `DETECT_K` sigma away from
     baseline. Severity escalates at the 3/5/8 sigma buckets. Events with
     nonzero severity alert directly. Every alert cites the window records
-    that support it.
+    that support it. `noise_pct` sets sigma (default: the simulator's
+    noise) and must be a finite number > 0.
 
-    The recurrence runs on whole frames, tick by tick. An entity's series
-    is its live ticks (a prefix of the window, since removal is permanent).
-    Records are built only for the series that fire.
+    Only the series with a stray cell in some frame of the window are
+    scored: the union of the batches' memoised stray cells (see `_bands`
+    for why no other series can fire). Each is scored alone over its live
+    ticks (a prefix of the window, since removal is permanent), as
+    `EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * ewma` in float64, tick by tick:
+    the same operations in the same order as scoring every series, so
+    the alerts are the same to the bit. Records are built only for the
+    samples a fired series cites.
     """
+    sigmas = _bands(noise_pct).sigma
     batches = window.batches
     alerts: list[Alert] = []
-    if batches:
+    strays = [cells for b in batches if (cells := b.strays(noise_pct)).size]
+    if strays:
+        cells = strays[0] if len(strays) == 1 else np.unique(np.concatenate(strays))
+        rows = cells // len(METRICS)
+        # per stray series: its sample and live flag at each tick of the window
+        samples = np.stack([b.frame.values.take(cells) for b in batches], axis=1).tolist()
+        lives = np.stack([b.frame.live.take(rows) for b in batches], axis=1).tolist()
         ticks = [b.frame.tick for b in batches]
         entities = batches[0].frame.entities
-        values = np.stack([b.frame.values for b in batches])  # (tick, entity, metric)
-        live = np.stack([b.frame.live for b in batches])  # (tick, entity)
-        baseline = np.array([BASELINES[m] for m in METRICS])
-        sigma = np.array([_sigma(m, noise_pct) for m in METRICS])
-        ewma = np.broadcast_to(baseline, values.shape[1:])
-        for x, is_live in zip(values, live):
-            ewma = np.where(is_live[:, None], EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * ewma, ewma)
-        deviation = np.abs(ewma - baseline)
-        fired = np.where(sigma > 0.0, deviation > DETECT_K * sigma, deviation > 0.0)
-        fired &= (live.sum(axis=0) >= min_ticks)[:, None]
-        for i, j in zip(*(ix.tolist() for ix in np.nonzero(fired))):
-            metric = METRICS[j]
-            category = CLASSIFICATION[metric].value
-            recs = [
-                UnifiedRecord(tick, entities[i], "telemetry", category, metric, value, 0)
-                for tick, value, is_live in zip(ticks, values[:, i, j].tolist(), live[:, i]) if is_live
-            ]
-            alerts.append(_metric_alert(recs, float(deviation[i, j]), float(sigma[j])))
+        for cell, xs, is_live in zip(cells.tolist(), samples, lives):
+            if sum(is_live) < min_ticks:
+                continue
+            row, j = divmod(cell, len(METRICS))
+            baseline, sigma = BASELINES[METRICS[j]], sigmas[j]
+            xs = list(compress(xs, is_live))
+            ewma = baseline
+            for x in xs:
+                ewma = EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * ewma
+            deviation = abs(ewma - baseline)
+            if deviation > DETECT_K * sigma if sigma > 0.0 else deviation > 0.0:
+                alerts.append(_metric_alert(
+                    entities[row], METRICS[j], list(compress(ticks, is_live)), xs, deviation, sigma,
+                ))
     alerts += _event_alerts(rec for b in batches for rec in b.events)
     alerts.sort(key=lambda a: (a.entity, a.attribute))
     return alerts

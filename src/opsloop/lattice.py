@@ -155,6 +155,10 @@ class FormalContext:
         self._all_attrs = (1 << len(self.attributes)) - 1
         self.closure_calls = 0
         self._lattice: _Lattice | None = None
+        # `to_csv`'s lines of the first objects, shared with the context
+        # extended from this one, which starts with the same rows.
+        self._csv_rows: list[str] = []
+        self._csv_shared = False
 
     # -- mask plumbing ---------------------------------------------------------
 
@@ -272,7 +276,9 @@ class FormalContext:
         """This context with `rows` (new object name -> intent mask over the
         same attributes) appended. The new context takes this one's lattice,
         if it has one, and inserts each row into it; this context computes
-        its lattice again if it is asked for it."""
+        its lattice again if it is asked for it. The first context extended
+        from this one shares its CSV lines; a later one would append other
+        rows to them, so it takes a copy."""
         new = copy.copy(self)
         new.objects = self.objects + tuple(rows)
         new._obj_index = dict(self._obj_index)
@@ -280,6 +286,9 @@ class FormalContext:
         new._obj_intents = self._obj_intents + list(rows.values())
         new.closure_calls = 0
         new._lattice, self._lattice = self._lattice, None
+        if self._csv_shared:
+            new._csv_rows = self._csv_rows[:len(self.objects)]
+        new._csv_shared, self._csv_shared = False, True
         for oi, (obj, row) in enumerate(rows.items(), start=len(self.objects)):
             bit = 1 << oi
             new._obj_index[obj] = oi
@@ -318,12 +327,15 @@ class FormalContext:
     # -- serialization -------------------------------------------------------------
 
     def to_csv(self) -> str:
-        lines = ["object," + ",".join(self.attributes)]
-        for i, obj in enumerate(self.objects):
-            row = self._obj_intents[i]
-            cells = ["1" if row >> j & 1 else "0" for j in range(len(self.attributes))]
-            lines.append(obj + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+        """The context as CSV: a header, then one 0/1 row per object. Row
+        lines are kept in a list shared with the contexts extended from this
+        one, so each row of a chain of passes is formatted once."""
+        lines = self._csv_rows
+        top = 1 << len(self.attributes)
+        for obj, row in zip(self.objects[len(lines):], self._obj_intents[len(lines):]):
+            # Cell j is bit j of the row: its binary digits below the top bit, lowest first.
+            lines.append(obj + "," + ",".join(bin(row | top)[3:][::-1]))
+        return "\n".join(["object," + ",".join(self.attributes), *lines[:len(self.objects)]]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "FormalContext":
@@ -528,14 +540,17 @@ class ConsistencyResult:
 
 
 def check_consistency(
-    rule: Rule, kg: KnowledgeGraph, episodes: Mapping[str, object]
+    rule: Rule, kg: KnowledgeGraph, episodes: Mapping[str, object] | None
 ) -> ConsistencyResult:
     """Validate a mined rule against the knowledge graph.
 
     Checks: antecedent attributes are vocabulary symptoms; consequent labels
-    resolve to registered FaultKind/Action entities; no provenance episode
-    touches decommissioned hardware; and no validated rule with the same
-    antecedent asserts a different cause at strictly higher confidence."""
+    resolve to registered FaultKind/Action entities; every provenance
+    episode is in `episodes` and none touches decommissioned hardware; and
+    no validated rule with the same antecedent asserts a different cause at
+    strictly higher confidence. `episodes=None` skips the provenance walk:
+    `distill` passes it for a rule mined from the episodes at hand, whose
+    provenance ids are all known, when no hardware is decommissioned."""
     for attr in sorted(rule.antecedent):
         if attr not in ATTR_SOURCE:
             return ConsistencyResult(False, f"antecedent {attr!r} is not a known symptom")
@@ -550,15 +565,16 @@ def check_consistency(
                 return ConsistencyResult(False, f"{label!r} names unknown action")
         else:
             return ConsistencyResult(False, f"consequent {label!r} is not an outcome label")
-    decommissioned = kg.decommissioned_entities()
-    for episode_id in rule.provenance:
-        ep = episodes.get(episode_id)
-        if ep is None:
-            return ConsistencyResult(False, f"provenance episode {episode_id!r} unknown")
-        if decommissioned and ep.entities & decommissioned:
-            return ConsistencyResult(
-                False, f"provenance episode {episode_id!r} references decommissioned hardware"
-            )
+    if episodes is not None:
+        decommissioned = kg.decommissioned_entities()
+        for episode_id in rule.provenance:
+            ep = episodes.get(episode_id)
+            if ep is None:
+                return ConsistencyResult(False, f"provenance episode {episode_id!r} unknown")
+            if decommissioned and ep.entities & decommissioned:
+                return ConsistencyResult(
+                    False, f"provenance episode {episode_id!r} references decommissioned hardware"
+                )
     causes = rule.cause_labels
     if causes:
         for other in kg.rules.values():
@@ -708,7 +724,9 @@ def distill(
     injection, then confidence/age retirement sweep."""
     context = context_from_episodes(episodes, vocab)
     mined = mine_rules(context, min_support, min_confidence)
-    lookup = {ep.episode_id: ep for ep in episodes}
+    # Mined provenance names only these episodes, so with no hardware
+    # decommissioned there is nothing to look up.
+    lookup = {ep.episode_id: ep for ep in episodes} if kg.decommissioned_entities() else None
     accepted: list[Rule] = []
     rejected: list[tuple[Rule, str]] = []
     for rule in mined:
@@ -725,7 +743,7 @@ def distill(
             confidence_floor=confidence_floor,
             max_age_episodes=max_age_episodes,
         ),
-        lookup,
+        {},  # read only by the decommission criterion, not set here
         episode_count=episode_count,
     )
     return DistillReport(

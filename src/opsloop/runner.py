@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,6 +235,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     for name, least in _PARAM_MINIMUMS.items():
         if getattr(params, name) < least:
             raise ConfigError(f"params.{name} must be >= {least}")
+    # At 0, sigma is 0 and the detector fires on the rounding of an EWMA of
+    # baseline samples; below 0, every alarm band is negative.
+    if not 0.0 < params.noise_pct < math.inf:
+        raise ConfigError(f"params.noise_pct must be a finite number > 0, got {params.noise_pct!r}")
 
     _check_runbooks_and_policies(raw, topology)
     return RunConfig(

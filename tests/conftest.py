@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from opsloop.config import BASELINES, DETECT_K, DETECT_WINDOW, EWMA_ALPHA
-from opsloop.ingest import Alert, UnifiedRecord, _event_alerts, _metric_alert, _sigma
+from opsloop.config import ANOMALY_ATTR, BASELINES, DETECT_K, DETECT_WINDOW, EVIDENCE_FLOOR_SIGMA, EWMA_ALPHA
+from opsloop.ingest import Alert, UnifiedRecord, _event_alerts, _severity_from_sigma, _sigma
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,6 +77,24 @@ def mixed_config_path() -> Path:
     return CONFIG_DIR / "mixed_faults.json"
 
 
+def _metric_alert(recs: list[UnifiedRecord], deviation: float, sigma: float) -> Alert:
+    """The alert of a fired series, given as all its records oldest first.
+    It cites the records beyond the evidence floor, or the extreme one."""
+    last = recs[-1]
+    baseline = BASELINES[last.attribute]
+    floor = EVIDENCE_FLOOR_SIGMA * sigma
+    evidence = tuple(r for r in recs if abs(r.value - baseline) > floor)
+    if not evidence:
+        evidence = (max(recs, key=lambda r: abs(r.value - baseline)),)
+    return Alert(
+        tick=last.tick,
+        entity=last.entity,
+        attribute=ANOMALY_ATTR[last.attribute],
+        severity=_severity_from_sigma(deviation, sigma),
+        evidence=evidence,
+    )
+
+
 def detect_records(
     window: Iterable[UnifiedRecord],
     *,
@@ -85,8 +103,8 @@ def detect_records(
     min_ticks: int = DETECT_WINDOW,
     noise_pct: float | None = None,
 ) -> list[Alert]:
-    """`detect_anomalies` over any list of records, one series at a time:
-    the reference for the columnar detector. Records of one series may
+    """`detect_anomalies` over any list of records, one series at a time,
+    every series scored: the reference for the columnar detector. Records of one series may
     share a tick; the series is ordered by tick, stably, and needs
     `min_ticks` distinct ticks."""
     series: dict[tuple[str, str], list[UnifiedRecord]] = {}

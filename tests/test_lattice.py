@@ -267,6 +267,39 @@ def test_csv_round_trip():
     assert clone.to_csv() == ctx.to_csv()
 
 
+def _csv_cell_by_cell(ctx: FormalContext) -> str:
+    lines = ["object," + ",".join(ctx.attributes)]
+    for obj in ctx.objects:
+        intent = ctx.intent_of([obj])
+        lines.append(obj + "," + ",".join("1" if a in intent else "0" for a in ctx.attributes))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extended_contexts_write_the_csv_of_their_own_rows(data):
+    # Extended contexts share their parent's CSV lines. A run writes every
+    # pass's context at its end, parent first; a context extended twice
+    # must not see its sibling's rows; and no attribute at all is a row of
+    # the object name alone.
+    width = data.draw(st.integers(0, 6))
+    attributes = [f"a{j}" for j in range(width)]
+    rows = st.lists(st.sets(st.sampled_from(attributes)) if attributes else st.just(set()), max_size=4)
+    first = data.draw(rows)
+    chain = [FormalContext([f"o{i}" for i in range(len(first))], attributes,
+                           [(f"o{i}", a) for i, attrs in enumerate(first) for a in attrs])]
+    for step in range(data.draw(st.integers(1, 6))):
+        parent = chain[data.draw(st.integers(0, len(chain) - 1))]
+        new = {f"x{step}-{i}": sum(1 << attributes.index(a) for a in attrs)
+               for i, attrs in enumerate(data.draw(rows))}
+        chain.append(parent._extended(new))
+        if data.draw(st.booleans()):
+            ctx = chain[data.draw(st.integers(0, len(chain) - 1))]
+            assert ctx.to_csv() == _csv_cell_by_cell(ctx)
+    for ctx in data.draw(st.permutations(chain)) + chain:
+        assert ctx.to_csv() == _csv_cell_by_cell(ctx)
+
+
 def test_csv_parse_errors():
     with pytest.raises(ContextError, match="header"):
         FormalContext.from_csv("nope,a\no1,1\n")

@@ -296,13 +296,24 @@ def _set(path, value):
         (lambda raw: (raw.update(episodes=7),
                       raw["policies"][0].update(id="aset:dns_error+latency_high")),
          r"policy 'aset:dns_error\+latency_high' id starts with a learned-id prefix"),
+        # With sigma = 0 the detector fired on a quiet window (the EWMA of
+        # 0.4 rounds to 0.39999999999999997) and every episode abstained; a
+        # negative level made every episode escalate.
+        (_set(["params", "noise_pct"], 0), "params.noise_pct must be a finite number > 0, got 0"),
+        (_set(["params", "noise_pct"], -0.02),
+         "params.noise_pct must be a finite number > 0, got -0.02"),
+        (_set(["params", "noise_pct"], float("nan")),
+         "params.noise_pct must be a finite number > 0, got nan"),
+        (_set(["params", "noise_pct"], float("inf")),
+         "params.noise_pct must be a finite number > 0, got inf"),
     ],
     ids=["seed_str", "seed_float", "seed_bool", "episodes_float", "episodes_str",
          "trigger_str", "steps_str", "steps_unknown_action", "steps_empty", "runbook_id_twice",
          "policy_tags_str", "policy_without_id", "policy_on_unknown_service",
          "blocked_tags_str", "policy_id_rack", "policy_id_switch", "policy_id_node",
          "policy_id_pod", "policy_id_service", "policy_id_fault_kind", "policy_id_action",
-         "policy_id_rule", "policy_id_aset"],
+         "policy_id_rule", "policy_id_aset", "noise_pct_zero", "noise_pct_negative",
+         "noise_pct_nan", "noise_pct_inf"],
 )
 def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
     dns_config_path, tmp_path, capsys, mutation, message

@@ -3,17 +3,22 @@
 Each tick's frame must equal a scalar, sample-by-sample recomputation of
 the tick, and the detector over the feed's window must raise exactly the
 alerts of the record-list reference (`conftest.detect_records`) over the
-same records. The
-simulator walks only the faults that can still act; the reference walks
-every fault ever injected."""
+same records. The simulator walks only the faults that can still act; the
+reference walks every fault ever injected. The detector scores only the
+series with a stray cell; the reference scores every series, so windows
+with samples at the edges of the stray threshold and of the alarm band pin
+the pruning."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from opsloop.cluster import SIM_STREAM, ClusterSim, FaultScenario, RawEvent, TelemetrySample, build_topology
-from opsloop.config import BASELINES, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
-from opsloop.ingest import TelemetryFeed, detect_anomalies, normalize
+from opsloop.cluster import (
+    SIM_STREAM, ClusterSim, FaultScenario, RawEvent, TelemetrySample, TickFrame, build_topology,
+)
+from opsloop.config import BASELINES, DETECT_K, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
+from opsloop.ingest import FeedWindow, TelemetryFeed, TickBatch, _bands, _sigma, detect_anomalies, normalize
 
 from conftest import detect_records, small_topology_spec, tiny_topology_spec
 
@@ -223,3 +228,168 @@ def test_step_walks_only_the_faults_that_can_still_act(small_topology):
     assert sim.is_removed("node-5")
     assert len(sim._faults) == 52
     assert sim._acting == []
+
+
+# -- stray-cell pruning ------------------------------------------------------------
+
+# Sample offsets from the baseline in units of the alarm band K sigma: on
+# either side of the stray threshold (0.9) and of the band itself, and past
+# it. A series held at 1.05 fires only over a long window, and only if it
+# is scored.
+BAND_LEVELS = (0.0, 0.5, 0.9 * (1 - 1e-9), 0.9, 0.9 * (1 + 1e-9), 1 - 1e-9, 1.0, 1 + 1e-9, 1.05, 2.0, 9.0)
+# Absolute offsets, for the sigma = 0 column and for bands below rounding.
+TINY_OFFSETS = (5e-324, 1e-300, 1e-17)
+# Noise levels: the simulator's, others, and levels whose alarm band is
+# below the rounding of an EWMA of baseline samples (no pruning there).
+DETECT_NOISE = (None, NOISE_PCT, 0.005, 0.05, 1e-9, 1e-13, 1e-15, 1e-17)
+
+
+def frame_window(values: np.ndarray, live: np.ndarray) -> FeedWindow:
+    """A feed window straight from (tick, entity, metric) values and
+    (tick, entity) live masks."""
+    entities = tuple(f"pod-{i}" for i in range(values.shape[1]))
+    rows = {e: i for i, e in enumerate(entities)}
+    return FeedWindow(
+        TickBatch(TickFrame(t, entities, rows, values[t], live[t]), ())
+        for t in range(len(values))
+    )
+
+
+def edge_values(rng: np.random.Generator, ticks: int, entities: int, noise_pct, held: float) -> np.ndarray:
+    """Samples at the levels above, each series at one level of one sign
+    with probability `held` per tick, some at the stray threshold itself."""
+    base = np.array([BASELINES[m] for m in METRICS])
+    band = np.array([DETECT_K * _sigma(m, noise_pct) for m in METRICS])
+    stray = _bands(noise_pct).stray
+    shape = (ticks, entities, len(METRICS))
+    level = np.where(rng.random(shape) < held, rng.choice(BAND_LEVELS, size=shape[1:]),
+                     rng.choice(BAND_LEVELS, size=shape))
+    sign = np.where(rng.random(shape[1:]) < 0.5, -1.0, 1.0)
+    values = base + sign * level * band
+    at_threshold = rng.random(shape) < 0.1
+    values = np.where(at_threshold, base + sign * np.maximum(stray, 0.0), values)
+    tiny = rng.random(shape) < 0.1
+    return np.where(tiny, base + rng.choice(TINY_OFFSETS, size=shape), values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ticks=st.integers(1, 24),
+    entities=st.integers(1, 3),
+    noise_pct=st.sampled_from(DETECT_NOISE),
+    held=st.sampled_from([0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pruned_detector_matches_the_reference_at_the_band_edges(ticks, entities, noise_pct, held, seed, data):
+    rng = np.random.default_rng(seed)
+    values = edge_values(rng, ticks, entities, noise_pct, held)
+    # Removal is permanent, so each entity is live for a prefix of the
+    # window; its dead ticks hold samples far out of band.
+    live_for = rng.integers(0, ticks + 1, size=entities)
+    live = np.arange(ticks)[:, None] < live_for[None, :]
+    values = np.where(live[:, :, None], values, values + 1e3)
+    window = frame_window(values, live)
+    min_ticks = data.draw(st.integers(1, ticks))
+    assert detect_anomalies(window, min_ticks=min_ticks, noise_pct=noise_pct) == detect_records(
+        list(window), min_ticks=min_ticks, noise_pct=noise_pct
+    )
+
+
+def test_a_series_just_inside_the_band_fires_only_when_scored():
+    # 24 ticks at 1.05 K sigma: the EWMA ends at 1.05 (1 - 0.7**24) K
+    # sigma, past the band, though no single sample is far out.
+    band = DETECT_K * _sigma("cpu_util", None)
+    values = np.full((24, 1, len(METRICS)), 0.0) + np.array([BASELINES[m] for m in METRICS])
+    values[:, 0, METRICS.index("cpu_util")] += 1.05 * band
+    window = frame_window(values, np.ones((24, 1), dtype=bool))
+    alerts = detect_anomalies(window)
+    assert [(a.entity, a.attribute) for a in alerts] == [("pod-0", "cpu_high")]
+    assert alerts == detect_records(list(window))
+    # every sample is past the evidence floor of 2 sigma, and all are cited
+    assert len(alerts[0].evidence) == 24 and alerts[0].tick == 23
+
+
+def test_baseline_samples_fire_on_rounding_when_the_band_is_below_it():
+    # At noise 1e-17 the alarm band of mem_util (about 7e-18) is below the
+    # rounding of 0.3 * 0.4 + 0.7 * 0.4 = 0.39999999999999997, so a series
+    # held at its baseline fires and must not be pruned.
+    values = np.tile(np.array([BASELINES[m] for m in METRICS]), (5, 1, 1))
+    window = frame_window(values, np.ones((5, 1), dtype=bool))
+    alerts = detect_anomalies(window, noise_pct=1e-17)
+    assert "mem_high" in {a.attribute for a in alerts}
+    assert alerts == detect_records(list(window), noise_pct=1e-17)
+    assert detect_anomalies(window) == []
+
+
+def test_one_window_scored_under_two_noise_levels_in_turn(small_topology):
+    # The coarse level finds few stray cells; the fine one, scored after it
+    # on the same batches, must not reuse them.
+    sim = ClusterSim(small_topology, seed=5)
+    sim.inject(FaultScenario(FaultKind.NOISY_NEIGHBOR, "node-2", start_tick=3, duration=30, magnitude=0.2))
+    feed = TelemetryFeed(sim, window_ticks=5)
+    for _ in range(8):
+        feed.step()
+    window = feed.window()
+    results = {}
+    for noise_pct in (0.2, 0.004, 0.2, None, 0.004):
+        alerts = detect_anomalies(window, noise_pct=noise_pct)
+        assert alerts == detect_records(list(window), noise_pct=noise_pct)
+        results.setdefault(noise_pct, alerts)
+        assert alerts == results[noise_pct]
+    assert len(results[0.004]) > len(results[0.2])
+    newest = window.batches[-1]
+    assert newest.strays(0.2).size < newest.strays(0.004).size
+
+
+def test_detection_noise_below_the_simulators_lets_noise_past_the_threshold(small_topology):
+    # The simulator's noise reaches 0.05 b; at a detection level of 0.01 the
+    # stray threshold is about 0.016 b, so about 2 in 3 cells of the five
+    # noisy metrics are strays (`pod_restarts` never is).
+    sim = ClusterSim(small_topology, seed=8, noise_pct=0.05)
+    sim.inject(FaultScenario(FaultKind.DNS_ERROR_BURST, "svc-dns", start_tick=6, duration=6, magnitude=0.3))
+    feed = TelemetryFeed(sim, window_ticks=5)
+    fired = 0
+    for _ in range(TICKS):
+        batch = feed.step()
+        window = feed.window()
+        alerts = detect_anomalies(window, min_ticks=3, noise_pct=0.01)
+        assert alerts == detect_records(list(window), min_ticks=3, noise_pct=0.01)
+        fired += len(alerts)
+        assert batch.strays(0.01).size > batch.frame.values.size // 3
+    assert fired > 0
+
+
+def test_a_decommissioned_row_is_scored_on_its_live_ticks_only(small_topology):
+    # node-3's pods run hot and node-3 goes at tick 4; the simulator keeps
+    # offsetting the dead rows, so their dead ticks hold out-of-band values
+    # that neither the stray index nor the recurrence may read.
+    sim = ClusterSim(small_topology, seed=2)
+    sim.inject(FaultScenario(FaultKind.NOISY_NEIGHBOR, "node-3", start_tick=0, duration=40, magnitude=0.8))
+    sim.inject(FaultScenario(FaultKind.NODE_DECOMMISSION, "node-3", start_tick=4))
+    feed = TelemetryFeed(sim, window_ticks=5)
+    pods = small_topology.pods_on_node("node-3")
+    cpu = METRICS.index("cpu_util")
+    for tick in range(10):
+        batch = feed.step()
+        window = feed.window()
+        alerts = detect_anomalies(window, min_ticks=2)
+        assert alerts == detect_records(list(window), min_ticks=2)
+        frame = batch.frame
+        dead = [frame.rows[p] for p in pods if not frame.live[frame.rows[p]]]
+        assert bool(dead) == (tick >= 4)
+        for row in dead:
+            assert frame.values[row, cpu] > BASELINES["cpu_util"] + 0.5
+            assert not set(batch.strays(None).tolist()) & set(range(row * len(METRICS), (row + 1) * len(METRICS)))
+        hot = {a.entity for a in alerts if a.attribute == "cpu_high"}
+        # a series needs two live ticks: from tick 1, and up to tick 6,
+        # when ticks 2 and 3 are the last live ones in the window
+        assert hot == (set(pods) if 1 <= tick <= 6 else set())
+
+
+@pytest.mark.parametrize("noise_pct", [0.0, -0.02, float("nan"), float("inf")])
+def test_detector_rejects_a_noise_level_that_is_not_a_finite_positive_number(noise_pct, small_topology):
+    feed = TelemetryFeed(ClusterSim(small_topology, seed=1))
+    feed.step()
+    with pytest.raises(ValueError, match="noise_pct must be a finite number > 0"):
+        detect_anomalies(feed.window(), noise_pct=noise_pct)
