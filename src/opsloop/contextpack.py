@@ -83,6 +83,8 @@ class BudgetPolicy:
     weights: dict[str, float] = field(default_factory=lambda: {s: 1.0 for s in SECTION_ORDER})
 
     def effective_cap(self, section: str) -> int:
+        """The section's cap scaled by its weight. A config cap is at least 1,
+        and a weight below 1 never scales it down to no item."""
         cap = self.section_caps.get(section, 0)
         weight = self.weights.get(section, 1.0)
         return max(1, int(cap * weight))
@@ -105,18 +107,6 @@ class ContextPack:
 
     def keys(self) -> frozenset[str]:
         return frozenset(it.key for section in self.items.values() for it in section)
-
-    def trace_dict(self) -> list[dict]:
-        return [
-            {
-                "section": t.section,
-                "key": t.key,
-                "cost": t.cost,
-                "included": t.included,
-                "reason": t.reason,
-            }
-            for t in self.trace
-        ]
 
 
 def assemble(

@@ -48,7 +48,7 @@ from .config import (
     cause_label,
     noise_band,
 )
-from .contextpack import BudgetPolicy, IncidentDescriptor, assemble, update_weights
+from .contextpack import BudgetPolicy, IncidentDescriptor, TraceEntry, assemble, update_weights
 from .ingest import Alert, TelemetryFeed, TickBatch, detect_anomalies
 from .lattice import DistillReport, RetireCriteria, distill, retire_rules, validated_rules
 from .memory import Episode, ForgetCriteria, Memories
@@ -227,7 +227,7 @@ class EpisodeRun:
     episode: Episode | None
     transitions: list[TransitionRecord]
     ledger: BudgetLedger
-    pack_traces: list[list[dict]]
+    pack_traces: list[list[TraceEntry]]
     diagnosis: Diagnosis | None
     plan: ActionPlan | None
     action_results: list[tuple[str, ActionResult]]
@@ -436,7 +436,7 @@ class AgentLoop:
                 subgraph_radius=params.subgraph_radius,
                 vocab=params.vocab,
             )
-            run.pack_traces.append(pack.trace_dict())
+            run.pack_traces.append(pack.trace)
             ledger.charge("ace", TARIFF_ACE_ASSEMBLY + TARIFF_ACE_ITEM * pack.included_count)
             ledger.charge("memory", TARIFF_MEMORY_ITEM * pack.memory_touched)
             advance(Event.PACK_READY)  # Enriching -> Diagnosing

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cluster import (
@@ -23,6 +24,7 @@ from .cluster import (
     check_scenario,
 )
 from .config import SECTION_ORDER, ActionKind, FaultKind
+from .contextpack import TraceEntry
 from .ingest import TelemetryFeed
 from .lattice import rules_jsonl
 from .memory import (
@@ -228,9 +230,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = sorted(set(caps) - set(SECTION_ORDER))
     if unknown:
         raise ConfigError(f"params.section_caps names unknown sections {unknown}")
+    # A cap of 0 cannot switch a section off: `diagnose` needs the task, and
+    # `effective_cap` floors a cap at one item for weights below 1.
     for section, cap in caps.items():
-        if not _is_int(cap) or cap < 0:
-            raise ConfigError(f"params.section_caps.{section} must be an int >= 0, got {cap!r}")
+        if not _is_int(cap) or cap < 1:
+            raise ConfigError(f"params.section_caps.{section} must be an int >= 1, got {cap!r}")
     params = LoopParams(**params_raw)
     for name, least in _PARAM_MINIMUMS.items():
         if getattr(params, name) < least:
@@ -404,9 +408,55 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _episode_record(run: EpisodeRun, scenario: FaultScenario | None, row: dict) -> dict:
+def _dump_spliced(obj: dict, encoded: dict[str, str]) -> str:
+    """`_dump` of `obj` merged with the values whose JSON text `encoded`
+    already holds, by key. The keys are disjoint; each run of `obj`'s keys
+    between two encoded keys, in sorted order, takes one `_dump`."""
+    parts = []
+    pending: dict = {}
+    for key in sorted(obj.keys() | encoded.keys()):
+        if key in encoded:
+            if pending:
+                parts.append(_dump(pending)[1:-1])
+                pending = {}
+            parts.append(f"{encode_basestring_ascii(key)}:{encoded[key]}")
+        else:
+            pending[key] = obj[key]
+    if pending:
+        parts.append(_dump(pending)[1:-1])
+    return "{" + ",".join(parts) + "}"
+
+
+# `_dump(t._asdict())` of a TraceEntry: its keys in sorted order.
+_TRACE_ENTRY = '{"cost":%d,"included":%s,"key":%s,"reason":%s,"section":%s}'
+
+
+def _traces_json(traces: list[list[TraceEntry]], memo: dict[TraceEntry, str]) -> str:
+    """`_dump` of an episode's pack traces as lists of entry dicts. Each
+    distinct entry is encoded once into `memo`, which a run shares across
+    its episodes."""
+    packs = []
+    for trace in traces:
+        entries = []
+        for entry in trace:
+            text = memo.get(entry)
+            if text is None:
+                text = memo[entry] = _TRACE_ENTRY % (
+                    entry.cost,
+                    "true" if entry.included else "false",
+                    encode_basestring_ascii(entry.key),
+                    encode_basestring_ascii(entry.reason),
+                    encode_basestring_ascii(entry.section),
+                )
+            entries.append(text)
+        packs.append("[" + ",".join(entries) + "]")
+    return "[" + ",".join(packs) + "]"
+
+
+def _episode_record(run: EpisodeRun, scenario: FaultScenario | None) -> dict:
+    """An episode's record in episodes.jsonl, but for its `row` and its
+    `pack_traces`, which the writer splices in as JSON text."""
     return {
-        "row": row,
         "scenario": (
             {
                 "kind": FaultKind(scenario.kind).value,
@@ -435,7 +485,6 @@ def _episode_record(run: EpisodeRun, scenario: FaultScenario | None, row: dict) 
             }
             for rb_id, res in run.action_results
         ],
-        "pack_traces": run.pack_traces,
         "ledger": run.ledger.snapshot(),
         "deferred_subtasks": [d.to_dict() for d in run.deferred_subtasks],
     }
@@ -466,7 +515,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         runs.append(episode_run)
         row = _row_for(episode_run, scenario, loop.active_rule_count())
         rows.append(row)
-        records.append(_episode_record(episode_run, scenario, row))
+        records.append(_episode_record(episode_run, scenario))
         _drain(feed, scenario, config.params.detect_window)
 
     aggregates = compute_aggregates(rows)
@@ -478,11 +527,16 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         len(rep.mined) for rep in loop.learning_reports
     )
 
-    report_lines = [_dump(r) for r in rows] + [_dump({"aggregates": aggregates})]
+    row_lines = [_dump(r) for r in rows]
+    report_lines = row_lines + [_dump({"aggregates": aggregates})]
     (out / "report.jsonl").write_text("\n".join(report_lines) + "\n")
 
+    memo: dict[TraceEntry, str] = {}
     episode_lines = [_dump({"format": EPISODES_FORMAT, "version": EPISODES_VERSION})]
-    episode_lines += [_dump(rec) for rec in records]
+    episode_lines += [
+        _dump_spliced(rec, {"pack_traces": _traces_json(r.pack_traces, memo), "row": line})
+        for rec, r, line in zip(records, runs, row_lines)
+    ]
     (out / "episodes.jsonl").write_text("\n".join(episode_lines) + "\n")
 
     transition_lines = []

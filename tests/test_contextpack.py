@@ -231,7 +231,7 @@ def test_trace_covers_every_candidate_exactly_once():
         "included", "section cap", "pack budget exhausted"
     }
     assert pack.keys() == {t.key for t in pack.trace if t.included}
-    assert all(isinstance(d["included"], bool) for d in pack.trace_dict())
+    assert all(isinstance(t.included, bool) for t in pack.trace)
 
 
 def test_update_weights_feedback_and_clamps():
@@ -520,7 +520,7 @@ def test_one_pass_assembly_equals_the_gather_sort_pack_reference(
                 assert str(raised.value) == str(exc)
                 continue
             pack = assemble(query, memories, budgeted, **kwargs)
-            assert pack.trace_dict() == expected.trace_dict()
+            assert pack.trace == expected.trace
             assert _packed(pack) == _packed(expected)
             assert pack.total_cost == expected.total_cost
             assert pack.memory_touched == expected.memory_touched

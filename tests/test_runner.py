@@ -6,12 +6,17 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsloop.cli import main
 from opsloop.config import FaultKind
+from opsloop.contextpack import TraceEntry
 from opsloop.orchestrator import legal_transition_triples
 from opsloop.runner import (
     ConfigError,
+    _dump,
+    _dump_spliced,
+    _traces_json,
     compute_aggregates,
     config_from_dict,
     export_kg,
@@ -205,10 +210,11 @@ def test_a_float_param_takes_an_int_and_vocab_a_list(dns_config_path):
     "caps, message",
     [
         ({"kg": 40}, r"params.section_caps names unknown sections \['kg'\]"),
-        ({"kg_subgraph": "24"}, "params.section_caps.kg_subgraph must be an int >= 0, got '24'"),
-        ({"rules": -1}, "params.section_caps.rules must be an int >= 0, got -1"),
-        ({"rules": 2.5}, "params.section_caps.rules must be an int >= 0, got 2.5"),
-        ({"rules": True}, "params.section_caps.rules must be an int >= 0, got True"),
+        ({"kg_subgraph": "24"}, "params.section_caps.kg_subgraph must be an int >= 1, got '24'"),
+        ({"rules": -1}, "params.section_caps.rules must be an int >= 1, got -1"),
+        ({"rules": 2.5}, "params.section_caps.rules must be an int >= 1, got 2.5"),
+        ({"rules": True}, "params.section_caps.rules must be an int >= 1, got True"),
+        ({"episodic": 0}, "params.section_caps.episodic must be an int >= 1, got 0"),
     ],
 )
 def test_bad_section_caps_are_config_errors(dns_config_path, caps, message):
@@ -227,13 +233,13 @@ def test_partial_section_caps_keep_the_default_caps_of_the_other_sections(
     raw = json.loads(dns_config_path.read_text())
     raw["episodes"] = 2
     plain = run(config_from_dict(raw), tmp_path / "plain")
-    raw["params"]["section_caps"] = {"kg_subgraph": 40, "task": 0}
+    raw["params"]["section_caps"] = {"kg_subgraph": 40, "task": 1}
     capped = run(config_from_dict(raw), tmp_path / "capped")
-    included = [t["section"] for t in capped.episode_runs[0].pack_traces[0] if t["included"]]
+    included = [t.section for t in capped.episode_runs[0].pack_traces[0] if t.included]
     assert included.count("short_term") == 4 and included.count("runbooks") == 2
     assert capped.rows[0]["resolved"] and capped.rows[0]["correct"]
-    # the subgraph fits under both caps and a task cap of 0 still packs the
-    # task, so the run is the default run
+    # the subgraph fits under both caps and the task under a cap of 1, so
+    # the run is the default run
     assert capped.rows == plain.rows
     assert [r.pack_traces for r in capped.episode_runs] == [r.pack_traces for r in plain.episode_runs]
 
@@ -492,6 +498,71 @@ def test_export_kg_matches_run_artifact(tiny_report, tmp_path):
     assert target.read_text().startswith("# opsloop-kg v1\n")
 
 
+# -- artifact encoding ----------------------------------------------------------------
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters
+# (and lone surrogates) are each escaped differently by json.dumps.
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    st.characters(blacklist_categories=()),
+), max_size=8)
+_TRACE_ENTRIES = st.builds(TraceEntry, section=_TEXT, key=_TEXT, cost=st.integers(),
+                           included=st.booleans(), reason=_TEXT)
+# Keys on either side of the spliced keys "pack_traces" and "row", and on them.
+_RECORD_KEYS = st.one_of(
+    st.sampled_from(["a", "pack", "pack_trace", "pack_traces", "pack_tracesa", "plan",
+                     "row", "ro", "rowa", "rox", "s", "~"]),
+    _TEXT,
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(_TRACE_ENTRIES, min_size=1, max_size=6),
+    picks=st.lists(st.lists(st.integers(0, 5), max_size=6), max_size=4),
+    obj=st.dictionaries(_RECORD_KEYS, _JSON, max_size=6),
+    spliced=st.dictionaries(_RECORD_KEYS, _JSON, max_size=3),
+    row=_JSON,
+)
+def test_spliced_record_equals_one_dump(pool, picks, obj, spliced, row):
+    # Traces drawn from a small pool repeat entries, so the memo is hit.
+    traces = [[pool[i % len(pool)] for i in pick] for pick in picks]
+    as_dicts = [[t._asdict() for t in trace] for trace in traces]
+    memo: dict = {}
+    assert _traces_json(traces, memo) == _dump(as_dicts)
+    assert _traces_json(traces, memo) == _dump(as_dicts)  # from the memo alone
+    spliced = {**spliced, "pack_traces": as_dicts, "row": row}
+    obj = {k: v for k, v in obj.items() if k not in spliced}
+    encoded = {k: _dump(v) for k, v in spliced.items()}
+    encoded["pack_traces"] = _traces_json(traces, memo)
+    assert _dump_spliced(obj, encoded) == _dump({**obj, **spliced})
+
+
+def test_run_lines_are_one_dump_of_their_records(dns_config_path, tmp_path):
+    # A service id with a quote, a backslash and a non-ASCII letter reaches
+    # the pack-trace keys and the fields dumped around them.
+    name = 'svc-pay"\u00e9\\ments'
+    raw = json.loads(dns_config_path.read_text().replace("svc-payments", json.dumps(name)[1:-1]))
+    raw["episodes"] = 6
+    report = run(config_from_dict(raw), tmp_path)
+    assert all(r["resolved"] for r in report.rows)
+    report_lines = (tmp_path / "report.jsonl").read_text().splitlines()
+    episode_lines = (tmp_path / "episodes.jsonl").read_text().splitlines()
+    for line in report_lines + episode_lines:
+        assert line == _dump(json.loads(line))
+    records = [json.loads(line) for line in episode_lines[1:]]
+    assert [rec["row"] for rec in records] == [json.loads(line) for line in report_lines[:-1]]
+    assert [rec["pack_traces"] for rec in records] == [
+        [[t._asdict() for t in trace] for trace in r.pack_traces] for r in report.episode_runs
+    ]
+    assert any(name in t.key for r in report.episode_runs for trace in r.pack_traces for t in trace)
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 
@@ -525,6 +596,12 @@ def test_cli_exit_code_one_for_config_and_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+    zero_cap = tiny_run_dict(episodes=2)
+    zero_cap["params"]["section_caps"] = {"episodic": 0}
+    assert main(["run", "--config", str(write_config(tmp_path, zero_cap)),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "params.section_caps.episodic must be an int >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     cfg_path = write_config(tmp_path, tiny_run_dict(episodes=2))
     out_dir = tmp_path / "out2"
     assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
