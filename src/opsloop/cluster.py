@@ -1,8 +1,12 @@
 """Deterministic tick-based cluster simulator with fault injection.
 
-The simulated fleet is a small rack/node/pod/service topology. Each tick
-every live node, pod, and service emits the six standard metrics at its
-baseline plus uniform +/-2% sampling noise; active faults add deterministic
+The simulated fleet is a small rack/node/pod/service topology whose ids
+share one table, `ClusterTopology.classes`: `build_topology` claims each
+rack, node and pod as it is met, then each distinct switch and service,
+and refuses an id already claimed, a fault kind or action name, or one
+under a learned-id prefix (`check_free_id`). Each tick every live node,
+pod, and service emits the six standard metrics at its baseline plus
+uniform +/-2% sampling noise; active faults add deterministic
 offsets to the entities in their blast set and may emit discrete events.
 The simulator keeps every fault it was given, but a tick and an action
 walk only the faults that can still act: a fault leaves that list once it
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BASELINES, HEADROOM, METRICS, NOISE_PCT, REMEDY, ActionKind, FaultKind
+from .config import BASELINES, CLOSED_IDS, HEADROOM, LEARNED_PREFIXES, METRICS, NOISE_PCT, REMEDY
+from .config import ActionKind, FaultKind
 from .memory.knowledge import bfs
 
 SIM_STREAM = 0
@@ -155,6 +160,7 @@ class ClusterTopology:
     node_of_pod: dict[str, str]
     service_of_pod: dict[str, str]
     dependencies: tuple[tuple[str, str], ...]  # (caller, callee)
+    classes: dict[str, str]  # every fleet id -> its ontology class
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -191,20 +197,21 @@ class ClusterTopology:
         return tuple(sorted(set(bfs(service, lambda v: reverse.get(v, ()))) - {service}))
 
     def entity_class(self, entity: str) -> str | None:
-        if entity in self.rack_of_node:
-            return "Node"
-        if entity in self.node_of_pod:
-            return "Pod"
-        if entity in set(self.service_of_pod.values()):
-            return "Service"
-        if entity in self.switch_of_rack.values():
-            return "ToRSwitch"
-        if entity in self.racks:
-            return "Rack"
-        return None
+        return self.classes.get(entity)
 
     def emitting_entities(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.nodes) | set(self.pods) | set(self.services)))
+
+
+def check_free_id(classes: Mapping[str, str], entity_id: str) -> None:
+    """Raise `TopologyError` unless `entity_id` is free in the graph's one
+    namespace: not in `classes`, not a closed id, not under a learned prefix."""
+    if entity_id in classes or entity_id in CLOSED_IDS:
+        cls = classes.get(entity_id) or CLOSED_IDS[entity_id]
+        article = "an" if cls[0] in "AEIOU" else "a"
+        raise TopologyError(f"duplicate id: {entity_id!r} is already {article} {cls}")
+    if entity_id.startswith(LEARNED_PREFIXES):
+        raise TopologyError(f"id {entity_id!r} starts with a learned-id prefix {LEARNED_PREFIXES}")
 
 
 def build_topology(spec: dict) -> ClusterTopology:
@@ -224,34 +231,32 @@ def build_topology(spec: dict) -> ClusterTopology:
     generation: dict[str, str] = {}
     node_of_pod: dict[str, str] = {}
     service_of_pod: dict[str, str] = {}
-    seen_ids: set[str] = set()
+    classes: dict[str, str] = {}
 
-    def claim(entity_id: str, what: str) -> str:
+    def claim(entity_id: str, cls: str) -> str:
         if not entity_id or not isinstance(entity_id, str):
-            raise TopologyError(f"{what} id must be a non-empty string")
-        if entity_id in seen_ids:
-            raise TopologyError(f"duplicate entity id: {entity_id!r}")
-        seen_ids.add(entity_id)
+            raise TopologyError(f"{cls} id must be a non-empty string, got {entity_id!r}")
+        check_free_id(classes, entity_id)
+        classes[entity_id] = cls
         return entity_id
 
     for rack in spec["racks"]:
-        rack_id = claim(rack["id"], "rack")
+        rack_id = claim(rack["id"], "Rack")
         racks.append(rack_id)
         switch_of_rack[rack_id] = rack["switch"]
         for node in rack.get("nodes", ()):
-            node_id = claim(node["id"], "node")
+            node_id = claim(node["id"], "Node")
             rack_of_node[node_id] = rack_id
             generation[node_id] = str(node.get("generation", "gen-unknown"))
             for pod in node.get("pods", ()):
-                pod_id = claim(pod["id"], "pod")
+                pod_id = claim(pod["id"], "Pod")
                 node_of_pod[pod_id] = node_id
                 service_of_pod[pod_id] = pod["service"]
-    for switch in set(switch_of_rack.values()):
-        if switch in seen_ids:
-            raise TopologyError(f"switch id collides with another entity: {switch!r}")
-    services = set(service_of_pod.values())
-    if services & seen_ids:
-        raise TopologyError("service ids must not collide with infrastructure ids")
+    for switch in dict.fromkeys(switch_of_rack.values()):
+        claim(switch, "ToRSwitch")
+    services = dict.fromkeys(service_of_pod.values())
+    for service in services:
+        claim(service, "Service")
     deps: list[tuple[str, str]] = []
     for edge in spec.get("dependencies", ()):
         caller, callee = edge
@@ -270,6 +275,7 @@ def build_topology(spec: dict) -> ClusterTopology:
         node_of_pod=node_of_pod,
         service_of_pod=service_of_pod,
         dependencies=tuple(deps),
+        classes=classes,
     )
 
 
@@ -317,9 +323,9 @@ class _ActiveFault:
 
 def check_scenario(topology: ClusterTopology, scenario: FaultScenario, now_tick: int = 0) -> FaultKind:
     """Raise `SimError` unless `scenario` can be injected at `now_tick`:
-    a target of the class its kind hits, a start not in the past, and for
-    a fault other than a decommission a positive duration and a magnitude
-    in (0, 1]. Returns the fault kind."""
+    a target of the class its kind hits, a start not in the past, a
+    magnitude in (0, 1], and for a fault other than a decommission a
+    positive duration. Returns the fault kind."""
     kind = FaultKind(scenario.kind)
     want = _FAULT_TARGET_CLASS[kind]
     have = topology.entity_class(scenario.target)
@@ -329,11 +335,10 @@ def check_scenario(topology: ClusterTopology, scenario: FaultScenario, now_tick:
         raise ScenarioError(f"{kind.value} targets a {want}, got {have} {scenario.target!r}")
     if scenario.start_tick < now_tick:
         raise ScenarioError(f"fault start {scenario.start_tick} is in the past (tick {now_tick})")
-    if kind is not FaultKind.NODE_DECOMMISSION:
-        if scenario.duration is None or scenario.duration <= 0:
-            raise ScenarioError(f"{kind.value} needs a positive duration")
-        if not 0.0 < scenario.magnitude <= 1.0:
-            raise ScenarioError("fault magnitude must be in (0, 1]")
+    if not 0.0 < scenario.magnitude <= 1.0:
+        raise ScenarioError("fault magnitude must be in (0, 1]")
+    if kind is not FaultKind.NODE_DECOMMISSION and (scenario.duration is None or scenario.duration <= 0):
+        raise ScenarioError(f"{kind.value} needs a positive duration")
     return kind
 
 
@@ -359,7 +364,7 @@ class ClusterSim:
         self._live = np.ones(len(self._noise_order), dtype=bool)
         # Scratch for a tick's fault offsets, overwritten by the next tick.
         self._offsets = np.zeros((len(self._noise_order), len(METRICS)))
-        self._all_entities = set(self._noise_order) | set(topology.switches) | set(topology.racks)
+        self._all_entities = topology.classes
 
     @property
     def tick(self) -> int:

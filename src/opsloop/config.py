@@ -34,6 +34,15 @@ class ActionKind(str, Enum):
     DRAIN_NODE = "drain_node"
 
 
+# The graph's closed ids with their classes, and the id prefixes of learned
+# rules and attribute sets: no fleet or policy id may take or start with one.
+CLOSED_IDS = {**{kind.value: "FaultKind" for kind in FaultKind},
+              **{action.value: "Action" for action in ActionKind}}
+RULE_PREFIX = "rule:"
+ASET_PREFIX = "aset:"
+LEARNED_PREFIXES = (RULE_PREFIX, ASET_PREFIX)
+
+
 class Category(str, Enum):
     """Coarse classification of a unified record."""
 

@@ -22,7 +22,6 @@ from .config import (
     PACK_BUDGET,
     SECTION_ORDER,
     SUBGRAPH_RADIUS,
-    SYMPTOM_VOCAB,
     WEIGHT_MAX,
     WEIGHT_MIN,
     WEIGHT_STEP,
@@ -116,7 +115,6 @@ def assemble(
     *,
     episodic_k: int = EPISODIC_K,
     subgraph_radius: int = SUBGRAPH_RADIUS,
-    vocab: tuple[str, ...] = SYMPTOM_VOCAB,
 ) -> ContextPack:
     """Assemble a pack for the incident under the budget policy.
 
@@ -168,7 +166,7 @@ def assemble(
         for it in sorted(stitems, key=lambda b: (-b.priority, b.seq))
     ])
 
-    query_vec = embed_features(symptoms, 0, query.max_severity, vocab)
+    query_vec = embed_features(symptoms, 0, query.max_severity)
     pack("episodic", [
         (f"episodic:{episode.episode_id}", (episode, similarity), 1, 1 + len(episode.actions))
         for episode, similarity in memories.episodic.search(query_vec, episodic_k)

@@ -52,11 +52,13 @@ from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .config import (
+    ASET_PREFIX,
     ATTR_SOURCE,
     CAUSE_PREFIX,
     MIN_CONFIDENCE,
     MIN_SUPPORT,
     RESOLVED_PREFIX,
+    RULE_PREFIX,
     is_outcome_label,
     resolved_label,
 )
@@ -453,7 +455,7 @@ class Rule:
     @property
     def rule_id(self) -> str:
         return (
-            "rule:" + "+".join(sorted(self.antecedent))
+            RULE_PREFIX + "+".join(sorted(self.antecedent))
             + "=>" + "+".join(sorted(self.consequent))
         )
 
@@ -593,7 +595,7 @@ def check_consistency(
 
 
 def aset_id(antecedent: frozenset[str]) -> str:
-    return "aset:" + "+".join(sorted(antecedent))
+    return ASET_PREFIX + "+".join(sorted(antecedent))
 
 
 def inject_rules(

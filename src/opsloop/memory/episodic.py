@@ -91,30 +91,29 @@ def embed_features(
     symptoms: frozenset[str] | set[str],
     duration: int,
     max_severity: int,
-    vocab: tuple[str, ...] = SYMPTOM_VOCAB,
 ) -> np.ndarray:
-    unknown = set(symptoms) - set(vocab)
+    unknown = set(symptoms) - set(SYMPTOM_VOCAB)
     if unknown:
         raise ValueError(f"symptoms outside vocabulary: {sorted(unknown)}")
-    vec = np.zeros(len(vocab) + 2 + len(EMBED_CATEGORIES), dtype=np.float64)
-    for i, attr in enumerate(vocab):
+    n = len(SYMPTOM_VOCAB)
+    vec = np.zeros(n + 2 + len(EMBED_CATEGORIES), dtype=np.float64)
+    for i, attr in enumerate(SYMPTOM_VOCAB):
         if attr in symptoms:
             vec[i] = 1.0
-    vec[len(vocab)] = min(1.0, duration / EMBED_DURATION_CAP)
-    vec[len(vocab) + 1] = min(float(max_severity), EMBED_SEVERITY_SCALE) / EMBED_SEVERITY_SCALE
+    vec[n] = min(1.0, duration / EMBED_DURATION_CAP)
+    vec[n + 1] = min(float(max_severity), EMBED_SEVERITY_SCALE) / EMBED_SEVERITY_SCALE
     cats = {category_of_attribute(a) for a in symptoms}
     for i, cat in enumerate(EMBED_CATEGORIES):
         if cat in cats:
-            vec[len(vocab) + 2 + i] = 1.0
+            vec[n + 2 + i] = 1.0
     return vec
 
 
-def embed_episode(episode: Episode, vocab: tuple[str, ...] = SYMPTOM_VOCAB) -> np.ndarray:
+def embed_episode(episode: Episode) -> np.ndarray:
     return embed_features(
         episode.symptom_attributes,
         episode.end_tick - episode.start_tick,
         episode.max_severity,
-        vocab,
     )
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
+from ..config import CLOSED_IDS
+
 KG_FORMAT = "opsloop-kg"
 KG_VERSION = 1
 
@@ -260,25 +262,12 @@ class KnowledgeGraph:
 
 
 def bootstrap_from_topology(kg: KnowledgeGraph, topology, tick: int = 0) -> None:
-    """Seed the graph with the static fleet layout and the closed enums.
-
-    Fault-to-remedy links are deliberately absent: those are learned."""
-    from ..config import ActionKind, FaultKind
-
-    for rack in topology.racks:
-        kg.register_entity(rack, "Rack")
-    for switch in topology.switches:
-        kg.register_entity(switch, "ToRSwitch")
-    for node in topology.nodes:
-        kg.register_entity(node, "Node")
-    for pod in topology.pods:
-        kg.register_entity(pod, "Pod")
-    for service in topology.services:
-        kg.register_entity(service, "Service")
-    for kind in FaultKind:
-        kg.register_entity(kind.value, "FaultKind")
-    for action in ActionKind:
-        kg.register_entity(action.value, "Action")
+    """Seed the graph with the static fleet layout and the closed ids: one
+    loop registers every id of `topology.classes` and `config.CLOSED_IDS`
+    under its class. Fault-to-remedy links are deliberately absent: those
+    are learned."""
+    for entity, cls in (*topology.classes.items(), *CLOSED_IDS.items()):
+        kg.register_entity(entity, cls)
     for rack, switch in sorted(topology.switch_of_rack.items()):
         kg.assert_triple(rack, "uplink", switch, provenance="bootstrap", tick=tick)
     for node, rack in sorted(topology.rack_of_node.items()):

@@ -13,6 +13,7 @@ from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import ClassVar
 
 from .cluster import ActionResult, SimError
 from .config import (
@@ -71,6 +72,7 @@ class Phase(str, Enum):
 
 class Event(str, Enum):
     ALERT_RAISED = "alert_raised"
+    IDLE_TIMEOUT = "idle_timeout"
     PACK_READY = "pack_ready"
     HYPOTHESES_READY = "hypotheses_ready"
     ABSTAIN = "abstain"
@@ -84,10 +86,6 @@ class Event(str, Enum):
 
 
 class TransitionError(Exception):
-    pass
-
-
-class LoopError(Exception):
     pass
 
 
@@ -108,6 +106,7 @@ def _always(state: OrchestratorState) -> bool:
 _Row = tuple[Callable[[OrchestratorState], bool], Phase, int]
 _TABLE: dict[tuple[Phase, Event], tuple[_Row, ...]] = {
     (Phase.IDLE, Event.ALERT_RAISED): ((_always, Phase.DETECTING, 0),),
+    (Phase.IDLE, Event.IDLE_TIMEOUT): ((_always, Phase.IDLE, 0),),
     (Phase.DETECTING, Event.ALERT_RAISED): ((_always, Phase.ENRICHING, 0),),
     (Phase.ENRICHING, Event.PACK_READY): ((_always, Phase.DIAGNOSING, 0),),
     (Phase.DIAGNOSING, Event.HYPOTHESES_READY): ((_always, Phase.SELECTING, 0),),
@@ -201,7 +200,8 @@ class TransitionRecord:
 
 @dataclass
 class LoopParams:
-    vocab: tuple[str, ...] = SYMPTOM_VOCAB
+    # Not a field: episodes are embedded and mined over the detector's vocabulary.
+    vocab: ClassVar[tuple[str, ...]] = SYMPTOM_VOCAB
     detect_window: int = DETECT_WINDOW
     noise_pct: float = NOISE_PCT
     escalation_after: int = ESCALATION_AFTER
@@ -237,8 +237,8 @@ class EpisodeRun:
     final_phase: str
 
 
-class _BudgetStop(Exception):
-    """Internal signal: the ledger ran dry and the machine escalated."""
+class _Stop(Exception):
+    """Internal signal: the episode ends early, escalated or timed out idle."""
 
 
 def decompose(descriptor: IncidentDescriptor, kg) -> list[IncidentDescriptor]:
@@ -325,8 +325,9 @@ class AgentLoop:
     # -- the loop ------------------------------------------------------------------
 
     def run_episode(self, episode_id: str) -> EpisodeRun:
-        """Wait for the next incident, drive it to Logging or Escalated, and
-        run the learning pass when the cadence is due."""
+        """Wait for the next incident (staying Idle if none comes in time),
+        drive it to Logging or Escalated, and run the learning pass when
+        the cadence is due."""
         params = self.params
         memories = self.memories
         ledger = BudgetLedger(params.compute_limit, params.tool_call_limit)
@@ -353,7 +354,7 @@ class AgentLoop:
                 fire(Event.BUDGET_EXCEEDED)
                 if run.escalation_reason is None:
                     run.escalation_reason = "budget exhausted"
-                raise _BudgetStop()
+                raise _Stop()
             fire(event)
 
         run = EpisodeRun(
@@ -375,14 +376,13 @@ class AgentLoop:
         resolved = False
         descriptor: IncidentDescriptor | None = None
 
-        with suppress(_BudgetStop):
-            # Idle: watch the feed until the detector raises.
+        with suppress(_Stop):
+            # Idle: watch the feed until the detector raises, or time out and stay Idle.
             waited = 0
             while not alerts:
                 if waited >= params.max_wait_ticks:
-                    raise LoopError(
-                        f"no alerts within {params.max_wait_ticks} ticks; nothing to do"
-                    )
+                    advance(Event.IDLE_TIMEOUT)  # Idle -> Idle
+                    raise _Stop()
                 self.feed.step()
                 waited += 1
                 found = detect_anomalies(
@@ -434,7 +434,6 @@ class AgentLoop:
                 descriptor, memories, policy,
                 episodic_k=params.episodic_k,
                 subgraph_radius=params.subgraph_radius,
-                vocab=params.vocab,
             )
             run.pack_traces.append(pack.trace)
             ledger.charge("ace", TARIFF_ACE_ASSEMBLY + TARIFF_ACE_ITEM * pack.included_count)
@@ -496,7 +495,7 @@ class AgentLoop:
         if state.phase is Phase.LOGGING:
             learning_due = self.episodes_since_learning >= params.learning_cadence
             state = replace(state, learning_due=learning_due)
-            with suppress(_BudgetStop):
+            with suppress(_Stop):
                 advance(Event.EPISODE_LOGGED)
                 if state.phase is Phase.LEARNING:
                     report = self._learn(ledger)

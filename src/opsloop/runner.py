@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -20,7 +21,9 @@ from .cluster import (
     ClusterTopology,
     FaultScenario,
     SimError,
+    TopologyError,
     build_topology,
+    check_free_id,
     check_scenario,
 )
 from .config import SECTION_ORDER, ActionKind, FaultKind
@@ -37,7 +40,7 @@ from .memory import (
     bootstrap_from_topology,
     default_ontology,
 )
-from .orchestrator import AgentLoop, EpisodeRun, LoopParams
+from .orchestrator import AgentLoop, EpisodeRun, LoopParams, Phase
 
 EPISODES_FORMAT = "opsloop-episodes"
 EPISODES_VERSION = 1
@@ -80,19 +83,20 @@ class RunConfig:
 
 _PARAM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(LoopParams)}
 # What a param takes, by the type of its default; a bool is never an int
-# here. JSON has no tuple, and section_caps (default None) is an object.
-_PARAM_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"),
-                tuple: ((list, tuple), "a list"), type(None): ((dict, type(None)), "an object")}
+# or a number here. section_caps (default None) is an object.
+_INT, _NUMBER, _STRING = ((int,), "an int"), ((int, float), "a number"), ((str,), "a string")
+_PARAM_TYPES = {int: _INT, float: _NUMBER, type(None): ((dict, type(None)), "an object")}
+# What each key of a scenario row takes; kind and target are required.
+_ROW_TYPES = {"kind": _STRING, "target": _STRING, "magnitude": _NUMBER, "duration": _INT, "lead": _INT}
 # The least value each size param can run with: a ring, a buffer and a pack
 # need room for one item, and a subgraph radius counts hops from 0.
 _PARAM_MINIMUMS = {"detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1}
 _ACTION_NAMES = frozenset(a.value for a in ActionKind)
-# Learned rules and attribute sets enter the graph under these id prefixes.
-_LEARNED_ID_PREFIXES = ("rule:", "aset:")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check_type(value, types: tuple[type, ...], kind: str, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
 
 
 def _check_names(value, what: str, allowed: frozenset[str] | None = None) -> None:
@@ -125,25 +129,15 @@ def _check_runbooks_and_policies(raw: dict, topology: ClusterTopology) -> None:
             raise ConfigError(f"seed_runbooks[{i}].steps must not be empty")
         _check_names(rb.get("policy_tags", []), f"seed_runbooks[{i}].policy_tags")
     services = frozenset(topology.services)
-    # A policy becomes a graph entity, so its id must not be an entity the
-    # graph already holds, or one a learning pass will register later.
-    taken = {
-        name: what
-        for what, names in (
-            ("rack", topology.racks), ("switch", topology.switches), ("node", topology.nodes),
-            ("pod", topology.pods), ("service", services),
-            ("fault kind", [k.value for k in FaultKind]), ("action", _ACTION_NAMES),
-        )
-        for name in names
-    }
     for i, pol in enumerate(policies):
         pid = pol.get("id")
         if not isinstance(pid, str):
             raise ConfigError(f"policies[{i}] id must be a string, got {pid!r}")
-        if pid in taken:
-            raise ConfigError(f"policy {pid!r} id collides with the {taken[pid]} of that name")
-        if pid.startswith(_LEARNED_ID_PREFIXES):
-            raise ConfigError(f"policy {pid!r} id starts with a learned-id prefix {_LEARNED_ID_PREFIXES}")
+        # A policy is a graph entity: its id must be free in the graph's one namespace.
+        try:
+            check_free_id(topology.classes, pid)
+        except TopologyError as exc:
+            raise ConfigError(f"policies[{i}] {exc}") from None
         _check_names(pol.get("applies_to", []), f"policy {pid!r} applies_to", services)
     _check_names(raw.get("blocked_policy_tags", []), "blocked_policy_tags")
 
@@ -181,8 +175,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     except KeyError as exc:
         raise ConfigError(f"missing required config key: {exc}") from None
     for key, value in (("seed", seed), ("episodes", episodes)):
-        if not _is_int(value):
-            raise ConfigError(f"{key} must be an int, got {value!r}")
+        _check_type(value, *_INT, key)
     if episodes < 0:
         raise ConfigError("episodes must be >= 0")
     try:
@@ -190,17 +183,19 @@ def config_from_dict(raw: dict) -> RunConfig:
     except Exception as exc:
         raise ConfigError(f"bad topology: {exc}") from None
 
+    rows = raw.get("scenario", [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ConfigError("scenario must be a list of objects")
     scenario: list[ScenarioTemplate] = []
-    for i, row in enumerate(raw.get("scenario", [])):
-        try:
-            tmpl = ScenarioTemplate(
-                kind=FaultKind(row["kind"]),
-                target=row["target"],
-                magnitude=float(row.get("magnitude", 0.5)),
-                duration=int(row.get("duration", 12)),
-                lead=int(row.get("lead", 2)),
-            )
-        except (KeyError, ValueError) as exc:
+    for i, row in enumerate(rows):
+        if not {"kind", "target"} <= row.keys() <= _ROW_TYPES.keys():
+            raise ConfigError(f"scenario[{i}] needs kind and target, and keys in {list(_ROW_TYPES)}; "
+                              f"got {sorted(row)}")
+        for key, value in row.items():
+            _check_type(value, *_ROW_TYPES[key], f"scenario[{i}].{key}")
+        try:  # the keys a row leaves out take the template's defaults
+            tmpl = ScenarioTemplate(**{**row, "kind": FaultKind(row["kind"])})
+        except ValueError as exc:
             raise ConfigError(f"scenario[{i}] invalid: {exc}") from None
         if tmpl.lead < 1:
             raise ConfigError(f"scenario[{i}] lead must be >= 1")
@@ -208,7 +203,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             check_scenario(topology, tmpl.at(tmpl.lead))
         except SimError as exc:
             raise ConfigError(f"scenario[{i}] {exc}") from None
-        scenario.append(tmpl)
+        # An int magnitude in range is 1, written as 1.0.
+        scenario.append(dataclasses.replace(tmpl, magnitude=float(tmpl.magnitude)))
     if episodes > 0 and not scenario:
         raise ConfigError("episodes > 0 needs a non-empty scenario")
     _check_can_fire(topology, scenario, episodes)
@@ -220,11 +216,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
     for name, value in params_raw.items():
-        types, kind = _PARAM_TYPES[type(_PARAM_DEFAULTS[name])]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"params.{name} must be {kind}, got {value!r}")
-    if not all(isinstance(attr, str) for attr in params_raw.get("vocab", ())):
-        raise ConfigError("params.vocab must be a list of attribute names")
+        _check_type(value, *_PARAM_TYPES[type(_PARAM_DEFAULTS[name])], f"params.{name}")
     # The loop lays section caps over DEFAULT_SECTION_CAPS, so any subset may be named.
     caps = params_raw.get("section_caps") or {}
     unknown = sorted(set(caps) - set(SECTION_ORDER))
@@ -233,7 +225,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     # A cap of 0 cannot switch a section off: `diagnose` needs the task, and
     # `effective_cap` floors a cap at one item for weights below 1.
     for section, cap in caps.items():
-        if not _is_int(cap) or cap < 1:
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise ConfigError(f"params.section_caps.{section} must be an int >= 1, got {cap!r}")
     params = LoopParams(**params_raw)
     for name, least in _PARAM_MINIMUMS.items():
@@ -318,7 +310,7 @@ def _drain(feed: TelemetryFeed, scenario: FaultScenario | None, window: int) -> 
 def _row_for(run: EpisodeRun, scenario: FaultScenario | None, rules_active: int) -> dict:
     top_kind = None
     top_entity = None
-    path = "abstain"
+    path = "no_incident" if run.final_phase == Phase.IDLE.value else "abstain"
     if run.diagnosis is not None:
         path = run.diagnosis.path
         if run.diagnosis.hypotheses:
@@ -552,6 +544,10 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     (out / "kg.tsv").write_text("\n".join(kg_lines) + "\n")
     (out / "episodic.jsonl").write_text("\n".join(memories.episodic.export_jsonl()) + "\n")
     (out / "rules.jsonl").write_text("\n".join(rules_jsonl(memories.kg)) + "\n")
+    # A rerun into the same directory leaves no context of an earlier run.
+    for path in out.glob("context_*.csv"):
+        if re.fullmatch(r"context_\d{3,}\.csv", path.name):
+            path.unlink()
     for i, report in enumerate(loop.learning_reports):
         (out / f"context_{i + 1:03d}.csv").write_text(report.context.to_csv())
 
@@ -629,7 +625,9 @@ def replay(episodes_path: str | Path, episode_id: str) -> str:
                 f"  [{res['runbook_id']}] {res['action']} @ {res['target']} "
                 f"tick {res['tick']} -> {status} ({res['detail']})"
             )
-    if row["resolved"]:
+    if row["path"] == "no_incident":
+        out.append("outcome: no incident; no alert came within the wait")
+    elif row["resolved"]:
         out.append(
             f"outcome: resolved in {row['ticks_to_resolve']} ticks; "
             f"compute {row['compute_total']:.2f} units, {row['tool_calls']} tool calls"

@@ -79,7 +79,7 @@ def test_self_dependency_rejected():
 def test_service_id_colliding_with_infrastructure_rejected():
     spec = tiny_topology_spec()
     spec["racks"][0]["nodes"][0]["pods"][0]["service"] = "n2"
-    with pytest.raises(TopologyError, match="collide"):
+    with pytest.raises(TopologyError, match="duplicate id: 'n2' is already a Node"):
         build_topology(spec)
 
 

@@ -275,7 +275,7 @@ def _reference_subgraph(kg: KnowledgeGraph, entity: str, radius: int) -> list:
     return sorted(seen.values(), key=rank)
 
 
-def _reference_candidates(query, memories, *, episodic_k, subgraph_radius, vocab):
+def _reference_candidates(query, memories, *, episodic_k, subgraph_radius):
     """Every section's candidates gathered into one list before packing."""
     symptoms = query.symptom_attributes
     out = []
@@ -295,7 +295,7 @@ def _reference_candidates(query, memories, *, episodic_k, subgraph_radius, vocab
     for it in sorted(stitems, key=lambda b: (-b.priority, b.seq)):
         out.append(PackItem("short_term", f"short_term:{it.seq}", it, priority=it.priority, cost=1))
 
-    query_vec = embed_features(symptoms, 0, query.max_severity, vocab)
+    query_vec = embed_features(symptoms, 0, query.max_severity)
     touched += memories.episodic.live_count()
     for episode, similarity in memories.episodic.search(query_vec, episodic_k):
         out.append(PackItem(
@@ -328,11 +328,11 @@ def _reference_candidates(query, memories, *, episodic_k, subgraph_radius, vocab
 
 
 def _reference_assemble(query, memories, policy, *, episodic_k=EPISODIC_K,
-                        subgraph_radius=SUBGRAPH_RADIUS, vocab=SYMPTOM_VOCAB):
+                        subgraph_radius=SUBGRAPH_RADIUS):
     """Gather every candidate, sort them by section, then pack the list."""
     candidates, touched = _reference_candidates(
         query, memories,
-        episodic_k=episodic_k, subgraph_radius=subgraph_radius, vocab=vocab,
+        episodic_k=episodic_k, subgraph_radius=subgraph_radius,
     )
     order = {s: i for i, s in enumerate(SECTION_ORDER)}
     candidates.sort(key=lambda c: order[c.section])

@@ -22,7 +22,6 @@ from opsloop.orchestrator import (
     AgentLoop,
     BudgetLedger,
     Event,
-    LoopError,
     LoopParams,
     OrchestratorState,
     Phase,
@@ -107,6 +106,7 @@ LEGAL_TRIPLES = frozenset({
     ("Executing", "budget_exceeded", "Escalated"),
     ("Idle", "alert_raised", "Detecting"),
     ("Idle", "budget_exceeded", "Escalated"),
+    ("Idle", "idle_timeout", "Idle"),
     ("Learning", "budget_exceeded", "Escalated"),
     ("Learning", "learning_done", "Idle"),
     ("Logging", "budget_exceeded", "Escalated"),
@@ -139,7 +139,7 @@ def test_every_phase_event_pair_is_legal_or_raises():
                     assert nxt.attempt == attempt + retry, triple
                     assert nxt.learning_due == due and nxt.escalation_after == 3
                     produced.add(triple)
-    assert len(LEGAL_TRIPLES) == 22
+    assert len(LEGAL_TRIPLES) == 23
     assert produced == legal_transition_triples() == LEGAL_TRIPLES
 
 
@@ -404,9 +404,20 @@ def test_learning_fires_on_cadence():
 
 
 def test_loop_times_out_when_nothing_happens():
-    _, loop = make_loop([throttle_runbook()], max_wait_ticks=6)
-    with pytest.raises(LoopError, match="no alerts within 6 ticks"):
-        loop.run_episode("ep-0001")
+    # An idle timeout once raised LoopError and ended the whole run.
+    sim, loop = make_loop([throttle_runbook()], max_wait_ticks=6)
+    start = sim.tick
+    run = loop.run_episode("ep-0001")
+    assert [(t.tick, t.phase_from, t.event, t.phase_to) for t in run.transitions] == [
+        (start + 6, "Idle", "idle_timeout", "Idle"),
+    ]
+    assert run.final_phase == "Idle"
+    assert run.episode is None and run.diagnosis is None and run.escalation_reason is None
+    assert run.ledger.total == 0.0 and loop.episode_count == 0
+    # the loop goes on: the next fault is an incident like any other
+    sim.inject(FaultScenario("noisy_neighbor", "n1", start_tick=sim.tick + 2,
+                             duration=40, magnitude=0.8))
+    assert loop.run_episode("ep-0002").episode.resolved
 
 
 def test_stop_met_event_and_metric_semantics():

@@ -3,17 +3,19 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsloop.cli import main
-from opsloop.config import FaultKind
+from opsloop.config import SYMPTOM_VOCAB, ActionKind, FaultKind
 from opsloop.contextpack import TraceEntry
 from opsloop.orchestrator import legal_transition_triples
 from opsloop.runner import (
     ConfigError,
+    ScenarioTemplate,
     _dump,
     _dump_spliced,
     _traces_json,
@@ -25,7 +27,7 @@ from opsloop.runner import (
     run,
 )
 
-from conftest import tiny_topology_spec
+from conftest import CONFIG_DIR, tiny_topology_spec
 
 
 def tiny_run_dict(episodes=3, **overrides) -> dict:
@@ -127,8 +129,11 @@ def test_config_rejects_a_fault_on_a_decommissioned_node():
         ({"magnitude": 1.5}, r"scenario\[0\] fault magnitude must be in \(0, 1\]"),
         ({"duration": 0}, r"scenario\[0\] dns_error_burst needs a positive duration"),
         ({"target": "node-1"}, r"scenario\[0\] dns_error_burst targets a Service, got Node 'node-1'"),
+        ({"kind": "node_decommission", "target": "node-1", "magnitude": 10 ** 400},
+         r"scenario\[0\] fault magnitude must be in \(0, 1\]"),
     ],
-    ids=["magnitude_0", "magnitude_1.5", "duration_0", "dns_burst_on_a_node"],
+    ids=["magnitude_0", "magnitude_1.5", "duration_0", "dns_burst_on_a_node",
+         "decommission_magnitude_huge"],
 )
 def test_config_rejects_what_inject_would_reject(dns_config_path, change, message):
     # Each of these once loaded, then raised inside run() and left an
@@ -174,8 +179,6 @@ def test_out_of_range_loop_params_are_config_errors(
         ("max_wait_ticks", None, "an int"),
         ("min_support", "0.2", "a number"),
         ("compute_limit", False, "a number"),
-        ("vocab", "dns_error", "a list"),
-        ("vocab", ["dns_error", 3], "a list of attribute names"),
         ("section_caps", [24], "an object"),
     ],
 )
@@ -198,12 +201,10 @@ def test_params_must_be_an_object():
         config_from_dict(tiny_run_dict(params=[["pack_budget", 80]]))
 
 
-def test_a_float_param_takes_an_int_and_vocab_a_list(dns_config_path):
+def test_a_float_param_takes_an_int(dns_config_path):
     raw = json.loads(dns_config_path.read_text())
-    raw["params"].update(compute_limit=500, vocab=["dns_error", "latency_high"])
-    params = config_from_dict(raw).params
-    assert params.compute_limit == 500
-    assert list(params.vocab) == ["dns_error", "latency_high"]
+    raw["params"].update(compute_limit=500)
+    assert config_from_dict(raw).params.compute_limit == 500
 
 
 @pytest.mark.parametrize(
@@ -285,23 +286,27 @@ def _set(path, value):
         (_set(["policies", 0, "applies_to"], ["svc-ghost"]),
          r"policy 'policy-change-freeze' applies_to must be a list of names in .*, got \['svc-ghost'\]"),
         (_set(["blocked_policy_tags"], "risky"), "blocked_policy_tags must be a list of strings"),
-        (_set(["policies", 0, "id"], "rack-2"), "policy 'rack-2' id collides with the rack"),
-        (_set(["policies", 0, "id"], "tor-2"), "policy 'tor-2' id collides with the switch"),
-        (_set(["policies", 0, "id"], "node-3"), "policy 'node-3' id collides with the node"),
-        (_set(["policies", 0, "id"], "pod-dns-1"), "policy 'pod-dns-1' id collides with the pod"),
+        (_set(["policies", 0, "id"], "rack-2"),
+         r"policies\[0\] duplicate id: 'rack-2' is already a Rack"),
+        (_set(["policies", 0, "id"], "tor-2"),
+         r"policies\[0\] duplicate id: 'tor-2' is already a ToRSwitch"),
+        (_set(["policies", 0, "id"], "node-3"),
+         r"policies\[0\] duplicate id: 'node-3' is already a Node"),
+        (_set(["policies", 0, "id"], "pod-dns-1"),
+         r"policies\[0\] duplicate id: 'pod-dns-1' is already a Pod"),
         (_set(["policies", 0, "id"], "svc-payments"),
-         "policy 'svc-payments' id collides with the service"),
+         r"policies\[0\] duplicate id: 'svc-payments' is already a Service"),
         (_set(["policies", 0, "id"], "dns_error_burst"),
-         "policy 'dns_error_burst' id collides with the fault kind"),
+         r"policies\[0\] duplicate id: 'dns_error_burst' is already a FaultKind"),
         (_set(["policies", 0, "id"], "flush_dns_cache"),
-         "policy 'flush_dns_cache' id collides with the action"),
+         r"policies\[0\] duplicate id: 'flush_dns_cache' is already an Action"),
         (_set(["policies", 0, "id"], "rule:dns_error"),
-         "policy 'rule:dns_error' id starts with a learned-id prefix"),
+         r"policies\[0\] id 'rule:dns_error' starts with a learned-id prefix"),
         # With 7 episodes this once ran five, then crashed at the first
         # learning pass, when the attribute set of that id was registered.
         (lambda raw: (raw.update(episodes=7),
                       raw["policies"][0].update(id="aset:dns_error+latency_high")),
-         r"policy 'aset:dns_error\+latency_high' id starts with a learned-id prefix"),
+         r"policies\[0\] id 'aset:dns_error\+latency_high' starts with a learned-id prefix"),
         # With sigma = 0 the detector fired on a quiet window (the EWMA of
         # 0.4 rounds to 0.39999999999999997) and every episode abstained; a
         # negative level made every episode escalate.
@@ -338,6 +343,58 @@ def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
     assert err.startswith("opsloop: config error: ")
     assert re.search(message, err), err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (_set(["scenario", 0, "duration"], 12.7), r"scenario\[0\]\.duration must be an int, got 12\.7"),
+        (_set(["scenario", 0, "duration"], "12"), r"scenario\[0\]\.duration must be an int, got '12'"),
+        (_set(["scenario", 0, "duration"], None), r"scenario\[0\]\.duration must be an int, got None"),
+        (_set(["scenario", 0, "magnitude"], "0.5"),
+         r"scenario\[0\]\.magnitude must be a number, got '0\.5'"),
+        (_set(["scenario", 0, "magnitude"], True), r"scenario\[0\]\.magnitude must be a number, got True"),
+        (_set(["scenario", 0, "lead"], True), r"scenario\[0\]\.lead must be an int, got True"),
+        (_set(["scenario", 0, "target"], ["svc-dns"]),
+         r"scenario\[0\]\.target must be a string, got \['svc-dns'\]"),
+        (_set(["scenario", 0, "kind"], 3), r"scenario\[0\]\.kind must be a string, got 3"),
+        (_set(["scenario"], "dns"), "scenario must be a list of objects"),
+        (_set(["scenario", 0], "dns"), "scenario must be a list of objects"),
+        (lambda raw: raw["scenario"][0].update(start_tick=5),
+         r"scenario\[0\] needs kind and target, and keys in \['kind', 'target', 'magnitude', "
+         r"'duration', 'lead'\]; got \['duration', 'kind', 'lead', 'magnitude', 'start_tick', 'target'\]"),
+        (lambda raw: raw["scenario"][0].pop("target"),
+         r"scenario\[0\] needs kind and target, .*; got \['duration', 'kind', 'lead', 'magnitude'\]"),
+    ],
+    ids=["duration_float", "duration_str", "duration_null", "magnitude_str", "magnitude_bool",
+         "lead_bool", "target_list", "kind_int", "scenario_str", "row_str", "unknown_key",
+         "no_target"],
+)
+def test_scenario_rows_are_checked_not_cast(dns_config_path, tmp_path, capsys, mutation, message):
+    # A float, string or bool duration, magnitude or lead once loaded cast
+    # (12.7 as 12, true as 1); a string scenario or row, a list target and
+    # a null duration crashed the load with a TypeError (exit 2).
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 2
+    mutation(raw)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opsloop: config error: ")
+    assert re.search(message, err), err
+    assert not out_dir.exists()
+
+
+def test_scenario_rows_take_the_template_defaults(dns_config_path):
+    raw = json.loads(dns_config_path.read_text())
+    raw["scenario"] = [
+        {"kind": "dns_error_burst", "target": "svc-dns"},
+        {"kind": "dns_error_burst", "target": "svc-dns", "magnitude": 1},
+    ]
+    bare, whole = config_from_dict(raw).scenario
+    assert bare == ScenarioTemplate(FaultKind.DNS_ERROR_BURST, "svc-dns")
+    # an int magnitude is kept as a float, so the artifacts say 1.0
+    assert whole.magnitude == 1.0 and type(whole.magnitude) is float
 
 
 # -- aggregates (pure function) --------------------------------------------------
@@ -490,6 +547,109 @@ def test_two_runs_same_seed_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_a_rerun_into_one_directory_leaves_only_its_own_files(dns_config_path, tmp_path):
+    # The 20-episode run writes context_001.csv to context_004.csv, the
+    # 6-episode run only context_001.csv; the other three once stayed.
+    raw = json.loads(dns_config_path.read_text())
+    run(config_from_dict(raw), tmp_path / "rerun")
+    raw["episodes"] = 6
+    run(config_from_dict(raw), tmp_path / "rerun")
+    run(config_from_dict(raw), tmp_path / "fresh")
+
+    def files(d):
+        return {p.name: p.read_bytes() for p in d.iterdir()}
+
+    assert files(tmp_path / "rerun") == files(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize(
+    "config, params",
+    [
+        ("recurring_dns", {"max_wait_ticks": 1}),
+        ("mixed_faults", {"noise_pct": 5.0}),
+        ("decommission_forgetting", {"noise_pct": 5.0}),
+    ],
+)
+def test_an_idle_timeout_is_a_no_incident_row_and_the_run_goes_on(tmp_path, capsys, config, params):
+    # Each once raised LoopError at the first episode that saw no alert:
+    # exit 2 and an empty run directory.
+    raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    raw["params"].update(params)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()[:-1]]
+    assert len(rows) == raw["episodes"]
+    idle = [r for r in rows if r["path"] == "no_incident"]
+    assert idle
+    assert all(r["final_phase"] == "Idle" and not r["resolved"] and r["attempts"] == 0 for r in idle)
+    timeouts = [line.split("\t") for line in (out / "transitions.log").read_text().splitlines()
+                if "\tidle_timeout\t" in line]
+    assert [t[0] for t in timeouts] == [r["episode_id"] for r in idle]
+    assert all(t[2:5] == ["Idle", "idle_timeout", "Idle"] for t in timeouts)
+    assert "outcome: no incident" in replay(out / "episodes.jsonl", idle[0]["episode_id"])
+
+
+# The ids of the fuzzed config, and names to give them: each other's, the
+# closed ids, learned-id prefixes, and (half the time) fresh names.
+_FUZZ_IDS = ["r1", "sw1", "n1", "n2", "p-front-1", "p-back-1", "p-back-2",
+             "svc-front", "svc-back", "pol-a"]
+_FUZZ_NAMES = st.one_of(
+    st.sampled_from(_FUZZ_IDS + [k.value for k in FaultKind] + [a.value for a in ActionKind]
+                    + ["rule:x", "rule:", "aset:cpu_high+disk_high"]),
+    st.sampled_from(["fresh-1", "fresh-2", "fresh-3"]),
+)
+# JSON values of every type for a scenario field, and (half the time)
+# values some field takes.
+_FUZZ_VALUES = st.one_of(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 40), st.floats(), _FUZZ_NAMES,
+              st.lists(_FUZZ_NAMES, max_size=2),
+              st.dictionaries(_FUZZ_NAMES, st.integers(), max_size=1)),
+    st.sampled_from([1, 2, 12, 30, 0.005, 0.8] + [k.value for k in FaultKind]),
+)
+
+
+def _renamed(obj, names: dict):
+    """`obj` with every string value in `names` replaced, all at once."""
+    if isinstance(obj, str):
+        return names.get(obj, obj)
+    if isinstance(obj, list):
+        return [_renamed(v, names) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _renamed(v, names) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=st.dictionaries(st.sampled_from(_FUZZ_IDS), _FUZZ_NAMES, max_size=2),
+    row=st.dictionaries(
+        st.sampled_from(["kind", "target", "magnitude", "duration", "lead", "start"]),
+        _FUZZ_VALUES, max_size=2,
+    ),
+    max_wait_ticks=st.integers(0, 12),
+    noise_pct=st.sampled_from([0.02, 0.5, 5.0]),
+)
+def test_a_config_either_fails_to_load_or_its_run_completes(names, row, max_wait_ticks, noise_pct):
+    raw = tiny_run_dict(episodes=3, policies=[{"id": "pol-a", "applies_to": ["svc-front"]}])
+    raw["scenario"][0].update(row)
+    raw["params"].update(max_wait_ticks=max_wait_ticks, noise_pct=noise_pct)
+    raw = _renamed(raw, names)
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        report = run(config, out)
+        assert len(report.rows) == 3
+        for name in ("report.jsonl", "episodes.jsonl", "transitions.log", "kg.tsv",
+                     "episodic.jsonl", "rules.jsonl"):
+            assert (out / name).is_file(), name
+        legal = legal_transition_triples()
+        for line in (out / "transitions.log").read_text().splitlines():
+            assert tuple(line.split("\t")[2:5]) in legal, line
+
+
 def test_export_kg_matches_run_artifact(tiny_report, tmp_path):
     report, out = tiny_report
     target = tmp_path / "kg-export.tsv"
@@ -602,6 +762,40 @@ def test_cli_exit_code_one_for_config_and_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     assert "params.section_caps.episodic must be an int >= 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    # Each of these once loaded and then crashed: at start, at the first
+    # learning pass, or with misaligned vectors; the reversed vocabulary ran
+    # but packed other episodic memories than the default run.
+    dns = json.loads((CONFIG_DIR / "recurring_dns.json").read_text())
+    mixed = json.loads((CONFIG_DIR / "mixed_faults.json").read_text())
+
+    def renamed(raw, old, new, **top):
+        return {**_renamed(raw, {old: new}), **top}
+
+    unknown_vocab = "unknown params keys: ['vocab']"
+    for payload, message in [
+        (renamed(dns, "svc-ledger", "tor-1"), "duplicate id: 'tor-1' is already a ToRSwitch"),
+        (renamed(dns, "svc-ledger", "noisy_neighbor"),
+         "duplicate id: 'noisy_neighbor' is already a FaultKind"),
+        (renamed(dns, "pod-ledger-1", "drain_node"), "duplicate id: 'drain_node' is already an Action"),
+        (renamed(dns, "node-1", "tor_packet_loss"),
+         "duplicate id: 'tor_packet_loss' is already a FaultKind"),
+        (renamed(dns, "rack-1", "restart_pod"), "duplicate id: 'restart_pod' is already an Action"),
+        (renamed(dns, "tor-1", "reroute_service"),
+         "duplicate id: 'reroute_service' is already an Action"),
+        (renamed(dns, "svc-ledger", "aset:dns_error+latency_high", episodes=7),
+         "id 'aset:dns_error+latency_high' starts with a learned-id prefix"),
+        (renamed(dns, "pod-ledger-1", "rule:x", episodes=7),
+         "id 'rule:x' starts with a learned-id prefix"),
+        ({**dns, "params": {**dns["params"],
+                            "vocab": [a for a in SYMPTOM_VOCAB if a != "auth_failure"]}},
+         unknown_vocab),
+        ({**mixed, "params": {**mixed["params"], "vocab": SYMPTOM_VOCAB[::-1]}}, unknown_vocab),
+    ]:
+        assert main(["run", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("opsloop: config error: ") and message in err, err
+        assert not (tmp_path / "o").exists()
     cfg_path = write_config(tmp_path, tiny_run_dict(episodes=2))
     out_dir = tmp_path / "out2"
     assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
@@ -611,12 +805,13 @@ def test_cli_exit_code_one_for_config_and_usage_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_cli_exit_code_two_for_runtime_failures(tmp_path, capsys):
-    # magnitude far below the detection threshold: the loop waits, times out,
-    # and the failure surfaces as a runtime error, not a config error
-    payload = tiny_run_dict(episodes=1)
-    payload["scenario"][0]["magnitude"] = 0.005
-    payload["params"]["max_wait_ticks"] = 8
-    cfg_path = write_config(tmp_path, payload)
+def test_cli_exit_code_two_for_runtime_failures(tmp_path, capsys, monkeypatch):
+    # a failure inside a run of a valid config is a runtime error, not a
+    # config error
+    def fail(config, out_dir):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr("opsloop.cli.run", fail)
+    cfg_path = write_config(tmp_path, tiny_run_dict(episodes=1))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    assert "runtime failure" in capsys.readouterr().err
+    assert "runtime failure: RuntimeError: simulated fault" in capsys.readouterr().err
