@@ -19,14 +19,20 @@ A tick is one `TickFrame`: a float64 array with a row per emitting entity
 per metric in `METRICS`, plus a mask of the rows still live. The whole
 frame is computed with array operations; `TelemetrySample` objects are
 built only when a caller iterates the frame (the wire format, demos and
-tests do). All randomness comes from numpy Generators keyed on
-(seed, stream, tick), so two simulators built from the same topology and
-seed produce identical streams sample for sample.
+tests do). A tick's noise is the draw of the numpy Generator
+`default_rng((seed, SIM_STREAM, tick))`, so two simulators built from the
+same topology and seed produce identical streams sample for sample. The
+`SeedSequence` states behind those Generators are computed for a block of
+ticks at once (`_TickNoise`), and a quiet tick, one that no fault offsets,
+makes a frame that draws its noise only when its values are first read:
+its `envelope` bounds every sample's distance from the baseline, and
+readers whose answer that bound settles never draw the tick at all.
 """
 from __future__ import annotations
 
+import functools
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,111 @@ _CEILING = np.array([
     1.0 if m in ("cpu_util", "mem_util", "disk_io", "packet_loss_rate") else np.inf
     for m in METRICS
 ])
+
+# Ticks whose SeedSequence states are computed together.
+_BLOCK = 256
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence constants (NEP 19) and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: 32-bit words, least
+    significant first, and one word for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _block_states(seed: int, first: int) -> list[list[int]]:
+    """The eight 32-bit words of `SeedSequence((seed, SIM_STREAM, t))
+    .generate_state(4)` for each tick t of `first, ..., first + _BLOCK - 1`,
+    all below 2**32. Words that depend on no tick stay Python ints; the
+    others are uint32 arrays over the block, whose products wrap as
+    SeedSequence's uint32 arithmetic does (the `& _MASK32` masks the ints)."""
+    entropy = [*_uint32_words(seed), *_uint32_words(SIM_STREAM),
+               np.arange(first, first + _BLOCK, dtype=np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return np.stack(state, axis=1).tolist()
+
+
+class _TickNoise:
+    """`uniform(-1, 1)` noise of one frame shape for any tick t, equal to
+    `np.random.default_rng((seed, SIM_STREAM, t)).uniform(-1.0, 1.0, shape)`.
+
+    `default_rng` hashes its entropy into PCG64's state with a fresh
+    `SeedSequence` (numpy NEP 19), which costs more than the draw. Here the
+    `generate_state(4)` words of `_BLOCK` ticks are hashed at once
+    (`_block_states`), and a draw performs PCG64's `set_seed` step (O'Neill
+    2014) in Python ints and sets the state of one reused Generator. A block
+    that is not wholly below tick 2**32 would split its ticks into different
+    numbers of words, so its ticks fall back to `default_rng`.
+    """
+
+    def __init__(self, seed: int, shape: tuple[int, int]):
+        self._seed = seed
+        self._shape = shape
+        self._bits = np.random.PCG64()
+        self._gen = np.random.Generator(self._bits)
+        # The last two blocks hashed, so a reader of the frames just before
+        # a block edge does not hash a block twice.
+        self._blocks: dict[int, list[list[int]]] = {}
+
+    def uniform(self, tick: int) -> np.ndarray:
+        block, k = divmod(tick, _BLOCK)
+        states = self._blocks.get(block)
+        if states is None:
+            first = block * _BLOCK
+            states = _block_states(self._seed, first) if first + _BLOCK <= 1 << 32 else []
+            self._blocks[block] = states
+            if len(self._blocks) > 2:
+                del self._blocks[next(iter(self._blocks))]
+        if not states:
+            return np.random.default_rng((self._seed, SIM_STREAM, tick)).uniform(-1.0, 1.0, self._shape)
+        # generate_state(4) read as little-endian uint64 words w0..w3: the
+        # 128-bit seed is w0:w1 and the increment w2:w3.
+        s0, s1, s2, s3, i0, i1, i2, i3 = states[k]
+        inc = (i1 << 97 | i0 << 65 | i3 << 33 | i2 << 1 | 1) & _MASK128
+        state = ((inc + (s1 << 96 | s0 << 64 | s3 << 32 | s2)) * _PCG_MULT + inc) & _MASK128
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.uniform(-1.0, 1.0, self._shape)
 
 
 class SimError(Exception):
@@ -74,7 +185,6 @@ class TelemetrySample:
     value: float
 
 
-@dataclass(frozen=True, eq=False)
 class TickFrame:
     """One tick of telemetry for the whole fleet.
 
@@ -83,13 +193,38 @@ class TickFrame:
     once entity i is removed, and the values of such a row mean nothing.
     Iterating yields the live samples, entity by entity and metric by
     metric, as `TelemetrySample`s; `len()` counts them.
+
+    `values` may be given as a function that draws the array; it is called
+    once, the first time `values` is read. Such a frame is quiet: no fault
+    offsets it, and `envelope[j]` bounds |x - b| for every sample x of
+    column j and its baseline b, as float64 computes the difference.
+    `envelope` is None on a frame that is not quiet.
     """
 
-    tick: int
-    entities: tuple[str, ...]
-    rows: Mapping[str, int]
-    values: np.ndarray  # float64, (len(entities), len(METRICS))
-    live: np.ndarray  # bool, (len(entities),)
+    __slots__ = ("tick", "entities", "rows", "live", "envelope", "_values", "_draw")
+
+    def __init__(
+        self,
+        tick: int,
+        entities: tuple[str, ...],
+        rows: Mapping[str, int],
+        values: np.ndarray | Callable[[], np.ndarray],  # float64, (len(entities), len(METRICS))
+        live: np.ndarray,  # bool, (len(entities),)
+        envelope: tuple[float, ...] | None = None,  # per metric
+    ):
+        self.tick = tick
+        self.entities = entities
+        self.rows = rows
+        self.live = live
+        self.envelope = envelope
+        self._values, self._draw = (None, values) if callable(values) else (values, None)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self._draw()
+            self._draw = None
+        return self._values
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.live)) * len(METRICS)
@@ -348,6 +483,8 @@ class ClusterSim:
     def __init__(self, topology: ClusterTopology, seed: int, noise_pct: float = NOISE_PCT):
         self.topology = topology
         self._seed = int(seed)
+        if self._seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
         self._noise_pct = float(noise_pct)
         self._tick = 0
         self._faults: list[_ActiveFault] = []
@@ -364,6 +501,16 @@ class ClusterSim:
         self._live = np.ones(len(self._noise_order), dtype=bool)
         # Scratch for a tick's fault offsets, overwritten by the next tick.
         self._offsets = np.zeros((len(self._noise_order), len(METRICS)))
+        self._noise = _TickNoise(self._seed, self._offsets.shape)
+        # A quiet sample is x = clip(b + (u * p) * b, 0, ceiling) with |u| <= 1
+        # and 0 <= b <= ceiling, so |x - b| <= p b in exact arithmetic
+        # (clipping only moves x toward b). Its three roundings and the
+        # reader's subtraction add at most (p + u (1 + p)) b (1 + 5u) - p b
+        # for unit roundoff u = 2**-53, with an absolute term that also
+        # covers underflow; the margins below exceed that after rounding
+        # the bound itself.
+        p = self._noise_pct
+        self._envelope = tuple(((p + 2.0 ** -51 * (1.0 + p)) * _BASE * (1.0 + 2.0 ** -50)).tolist())
         self._all_entities = topology.classes
 
     @property
@@ -409,51 +556,77 @@ class ClusterSim:
 
     def step(self) -> tuple[TickFrame, list[RawEvent]]:
         tick = self._tick
-        events: list[RawEvent] = []
+        events = [
+            RawEvent(tick, node, "node_decommissioned",
+                     (("generation", self.topology.generation_of_node.get(node, "gen-unknown")),))
+            for node in self._decommission(tick)
+        ]
 
+        # Offsets add up in fault order, cell by cell.
+        offsets = None
+        for fault in self._acting:
+            if not fault.contributes_at(tick):
+                continue
+            if fault.cells.size:
+                if offsets is None:
+                    offsets = self._offsets
+                    offsets.fill(0.0)
+                offsets.reshape(-1)[fault.cells] += fault.deltas
+            for emitter in fault.event_emitters:
+                if emitter not in self._removed:
+                    events.append(RawEvent(tick, emitter, "dns_error", (("scope", emitter),)))
+
+        if offsets is None:  # quiet: drawn when read, as the offsets 0 + _BASE would be
+            values, envelope = functools.partial(self._draw, tick, _BASE), self._envelope
+        else:
+            offsets += _BASE
+            values, envelope = self._draw(tick, offsets), None
+        self._acting = [f for f in self._acting if not f.spent_after(tick)]
+        self._tick = tick + 1
+        return TickFrame(tick, self._noise_order, self._row, values, self._live.copy(), envelope), events
+
+    def skip_to(self, tick: int) -> None:
+        """Move the clock on to `tick` without making the frames or events of
+        the ticks passed over. What those ticks change in the fleet is done
+        as `step` does it: decommissions that start among them finish, and
+        faults spent by the last of them leave the acting list."""
+        if tick <= self._tick:
+            return
+        self._decommission(tick - 1)
+        self._acting = [f for f in self._acting if not f.spent_after(tick - 1)]
+        self._tick = tick
+
+    def _decommission(self, last_tick: int) -> list[str]:
+        """Finish every pending decommission that starts by `last_tick`, in
+        injection order; return the nodes that left the fleet."""
+        nodes = []
         for fault in self._acting:
             scen = fault.scenario
             if (
                 fault.kind is FaultKind.NODE_DECOMMISSION
                 and not fault.decommission_done
-                and tick >= scen.start_tick
+                and last_tick >= scen.start_tick
             ):
                 fault.decommission_done = True
                 if scen.target not in self._removed:
-                    gen = self.topology.generation_of_node.get(scen.target, "gen-unknown")
-                    events.append(
-                        RawEvent(tick, scen.target, "node_decommissioned", (("generation", gen),))
-                    )
+                    nodes.append(scen.target)
                     gone = (scen.target, *self.topology.pods_on_node(scen.target))
                     self._removed.update(gone)
                     self._live[[self._row[e] for e in gone]] = False
+        return nodes
 
-        # Offsets add up in fault order, cell by cell.
-        offsets = self._offsets
-        offsets.fill(0.0)
-        flat = offsets.reshape(-1)
-        for fault in self._acting:
-            if not fault.contributes_at(tick):
-                continue
-            flat[fault.cells] += fault.deltas
-            for emitter in fault.event_emitters:
-                if emitter not in self._removed:
-                    events.append(RawEvent(tick, emitter, "dns_error", (("scope", emitter),)))
-
-        # clip((_BASE + offsets) + (noise * noise_pct) * _BASE, 0, _CEILING),
-        # in place on the noise: the sum commutes bit for bit, and the sum is
-        # never -0.0 or NaN, the only inputs on which clip and max/min differ.
-        rng = np.random.default_rng((self._seed, SIM_STREAM, tick))
-        values = rng.uniform(-1.0, 1.0, size=offsets.shape)
+    def _draw(self, tick: int, level: np.ndarray) -> np.ndarray:
+        """The tick's samples around `level`, _BASE plus the tick's offsets:
+        clip(level + (noise * noise_pct) * _BASE, 0, _CEILING), in place on
+        the noise. The sum commutes bit for bit, and it is never -0.0 or NaN,
+        the only inputs on which clip and max/min differ."""
+        values = self._noise.uniform(tick)
         values *= self._noise_pct
         values *= _BASE
-        offsets += _BASE
-        values += offsets
+        values += level
         np.maximum(values, 0.0, out=values)
         np.minimum(values, _CEILING, out=values)
-        self._acting = [f for f in self._acting if not f.spent_after(tick)]
-        self._tick = tick + 1
-        return TickFrame(tick, self._noise_order, self._row, values, self._live.copy()), events
+        return values
 
     # -- actions ---------------------------------------------------------------
 

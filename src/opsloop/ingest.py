@@ -85,13 +85,18 @@ class TickBatch:
     def strays(self, noise_pct: float | None) -> np.ndarray:
         """The flat (row-major) indices of the frame's live cells whose
         sample lies beyond the stray threshold of `noise_pct`, ascending;
-        computed once per noise level."""
+        computed once per noise level. A quiet frame whose envelope lies
+        within the threshold in every column has none, and is not drawn."""
         cells = self._strays.get(noise_pct)
         if cells is None:
             frame = self.frame
-            out = np.abs(frame.values - _BASELINE) > _bands(noise_pct).stray
-            out &= frame.live[:, None]
-            cells = self._strays[noise_pct] = np.flatnonzero(out)
+            if frame.envelope is not None and _within_strays(frame.envelope, noise_pct):
+                cells = _NO_CELLS
+            else:
+                out = np.abs(frame.values - _BASELINE) > _bands(noise_pct).stray
+                out &= frame.live[:, None]
+                cells = np.flatnonzero(out)
+            self._strays[noise_pct] = cells
         return cells
 
     def __iter__(self) -> Iterator[UnifiedRecord]:
@@ -173,6 +178,8 @@ def _sigma(metric: str, noise_pct: float | None) -> float:
 
 
 _BASELINE = np.array([BASELINES[m] for m in METRICS])
+_NO_CELLS = np.zeros(0, dtype=np.intp)
+_NO_CELLS.flags.writeable = False  # shared by every quiet batch
 # A stray sample lies beyond this fraction of the alarm band K sigma.
 _STRAY_FRACTION = 0.9
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -205,7 +212,11 @@ def _bands(noise_pct: float | None) -> _Bands:
 
     The simulator's sampling noise reaches at most noise_pct * b =
     sqrt(3) sigma, about 0.58 K sigma, so at the simulator's own noise
-    level no noise sample is a stray.
+    level no noise sample is a stray. `TickBatch.strays` answers a quiet
+    frame from that bound without drawing it: the frame's envelope is
+    noise_pct * b plus the rounding, well inside theta at that level. At
+    a lower detection noise level, or where theta is -inf, the envelope
+    exceeds theta in some column and the frame is drawn and compared.
     """
     if noise_pct is not None and not 0.0 < noise_pct < math.inf:
         raise ValueError(f"noise_pct must be a finite number > 0, got {noise_pct!r}")
@@ -220,6 +231,13 @@ def _bands(noise_pct: float | None) -> _Bands:
     bands = _Bands(tuple(sigma), np.array(stray))
     bands.stray.flags.writeable = False  # shared by every caller
     return bands
+
+
+@functools.lru_cache(maxsize=16)
+def _within_strays(envelope: tuple[float, ...], noise_pct: float | None) -> bool:
+    """True when a quiet frame of `envelope` can hold no stray cell at
+    `noise_pct`: its envelope is within the stray threshold in every column."""
+    return all(e <= theta for e, theta in zip(envelope, _bands(noise_pct).stray.tolist()))
 
 
 def _metric_alert(

@@ -28,6 +28,7 @@ from .config import (
     ATTR_SOURCE,
     BASELINES,
     LEARNING_CADENCE,
+    METRICS,
     MIN_CONFIDENCE,
     MIN_SUPPORT,
     NOISE_PCT,
@@ -316,6 +317,9 @@ class AgentLoop:
             )
         metric = ATTR_SOURCE[attr][1]
         band = noise_band(metric, self.params.noise_pct) + VERIFY_EPS
+        envelope = batch.frame.envelope
+        if envelope is not None and envelope[METRICS.index(metric)] <= band:
+            return True  # a quiet frame: every sample lies within its envelope
         baseline = BASELINES[metric]
         values = batch.frame.live_values(metric, stop.entities)
         if not values:

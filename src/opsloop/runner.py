@@ -176,6 +176,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"missing required config key: {exc}") from None
     for key, value in (("seed", seed), ("episodes", episodes)):
         _check_type(value, *_INT, key)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if episodes < 0:
         raise ConfigError("episodes must be >= 0")
     try:
@@ -296,13 +298,12 @@ def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
 
 
 def _drain(feed: TelemetryFeed, scenario: FaultScenario | None, window: int) -> None:
-    """Step past any remaining fault activity, then flush the window clean."""
+    """Pass any remaining fault activity, then flush the window clean. Only
+    the flush ticks can reach the feed's ring, so the ticks before them
+    are skipped, not stepped."""
     sim = feed.sim
-    if scenario is not None and scenario.duration is not None:
-        end = scenario.start_tick + scenario.duration
-        if not sim.fault_cleared(scenario):
-            while sim.tick < end:
-                feed.step()
+    if scenario is not None and scenario.duration is not None and not sim.fault_cleared(scenario):
+        sim.skip_to(scenario.start_tick + scenario.duration)
     for _ in range(window + 1):
         feed.step()
 
@@ -385,7 +386,7 @@ def compute_aggregates(rows: list[dict]) -> dict:
     return {
         "episodes": n,
         "resolved": resolved,
-        "escalated": n - resolved,
+        "escalated": sum(1 for r in rows if not r["resolved"] and r["path"] != "no_incident"),
         "top1_accuracy": accuracy,
         "compute_total": {k: totals[k] for k in sorted(totals)},
         "segments": {

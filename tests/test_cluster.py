@@ -93,6 +93,12 @@ def test_same_seed_same_stream(tiny_topology):
         assert a.step() == b.step()
 
 
+def test_a_negative_seed_is_refused(tiny_topology):
+    # SeedSequence takes no negative entropy: this once raised at the first tick.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ClusterSim(tiny_topology, seed=-1)
+
+
 def test_different_seeds_differ(tiny_topology):
     a = ClusterSim(tiny_topology, seed=1)
     b = ClusterSim(tiny_topology, seed=2)
@@ -409,3 +415,44 @@ def test_metrics_cover_expected_surface(tiny_topology):
     assert set(per_entity) == {
         "n1", "n2", "p-back-1", "p-back-2", "p-front-1", "svc-back", "svc-front",
     }
+
+
+# -- skipping ticks ------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    faults=st.lists(st.tuples(st.sampled_from(list(FaultKind)), st.integers(0, 12), st.integers(1, 6)),
+                    min_size=1, max_size=5),
+    node=st.sampled_from(["n1", "n2"]),
+    skip=st.tuples(st.integers(0, 14), st.integers(0, 14)),
+    clear=st.integers(0, 14),
+)
+def test_skip_to_leaves_the_fleet_as_stepping_does(faults, node, skip, clear):
+    topology = build_topology(tiny_topology_spec())
+    sim, ref = ClusterSim(topology, seed=5), ClusterSim(topology, seed=5)
+    scenarios = []
+    for kind, start, duration in faults:
+        target = {FaultKind.NOISY_NEIGHBOR: node, FaultKind.NODE_DECOMMISSION: node}.get(
+            kind, _TARGETS[kind][0])
+        scen = FaultScenario(kind, target, start, None if kind is FaultKind.NODE_DECOMMISSION else duration)
+        scenarios.append(scen)
+        sim.inject(scen)
+        ref.inject(scen)
+    first, last = min(skip), max(skip)
+    for tick in range(first):
+        assert sim.step() == ref.step()
+        if tick == clear:  # a fault cleared before the span
+            kind, target = REMEDY[scenarios[0].kind], scenarios[0].target
+            if not sim.is_removed(target):
+                assert sim.apply_action(kind, target) == ref.apply_action(kind, target)
+    sim.skip_to(last)
+    while ref.tick < last:
+        ref.step()
+    sim.skip_to(last - 1)  # no step back
+    assert sim.tick == ref.tick == last
+    assert sim.live_entities() == ref.live_entities()
+    assert [f.scenario for f in sim._acting] == [f.scenario for f in ref._acting]
+    assert [sim.fault_cleared(s) for s in scenarios] == [ref.fault_cleared(s) for s in scenarios]
+    for _ in range(16):
+        assert sim.step() == ref.step()

@@ -4,12 +4,15 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opsloop import runner
 from opsloop.cli import main
+from opsloop.cluster import ClusterSim
 from opsloop.config import SYMPTOM_VOCAB, ActionKind, FaultKind
 from opsloop.contextpack import TraceEntry
 from opsloop.orchestrator import legal_transition_triples
@@ -269,6 +272,7 @@ def _set(path, value):
         (_set(["seed"], "abc"), "seed must be an int, got 'abc'"),
         (_set(["seed"], 7.0), "seed must be an int, got 7.0"),
         (_set(["seed"], True), "seed must be an int, got True"),
+        (_set(["seed"], -1), "seed must be >= 0"),
         (_set(["episodes"], 2.7), "episodes must be an int, got 2.7"),
         (_set(["episodes"], "6"), "episodes must be an int, got '6'"),
         (_set(["seed_runbooks", 0, "trigger"], "dns_error"),
@@ -318,7 +322,7 @@ def _set(path, value):
         (_set(["params", "noise_pct"], float("inf")),
          "params.noise_pct must be a finite number > 0, got inf"),
     ],
-    ids=["seed_str", "seed_float", "seed_bool", "episodes_float", "episodes_str",
+    ids=["seed_str", "seed_float", "seed_bool", "seed_negative", "episodes_float", "episodes_str",
          "trigger_str", "steps_str", "steps_unknown_action", "steps_empty", "runbook_id_twice",
          "policy_tags_str", "policy_without_id", "policy_on_unknown_service",
          "blocked_tags_str", "policy_id_rack", "policy_id_switch", "policy_id_node",
@@ -330,7 +334,8 @@ def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
     dns_config_path, tmp_path, capsys, mutation, message
 ):
     # Each once loaded and then crashed the run or left an empty run
-    # directory, crashed the load (exit 2), or loaded wrong: a string
+    # directory, crashed the load (exit 2; a negative seed at the first
+    # tick), or loaded wrong: a string
     # trigger became the set of its letters and a float episode count was
     # truncated. A policy id that names a graph entity raised OntologyError
     # when the policy entered the graph.
@@ -400,12 +405,14 @@ def test_scenario_rows_take_the_template_defaults(dns_config_path):
 # -- aggregates (pure function) --------------------------------------------------
 
 
-def _row(eid, *, resolved=True, correct=True, ticks=4, reasoner=3.0, kind="noisy_neighbor"):
+def _row(eid, *, resolved=True, correct=True, ticks=4, reasoner=3.0, kind="noisy_neighbor",
+         path="propagation"):
     return {
         "episode_id": eid,
         "fault_kind": kind,
         "correct": correct,
         "resolved": resolved,
+        "path": path,
         "ticks_to_resolve": ticks if resolved else None,
         "compute": {"reasoner": reasoner, "detector": 1.0},
     }
@@ -587,6 +594,81 @@ def test_an_idle_timeout_is_a_no_incident_row_and_the_run_goes_on(tmp_path, caps
     assert [t[0] for t in timeouts] == [r["episode_id"] for r in idle]
     assert all(t[2:5] == ["Idle", "idle_timeout", "Idle"] for t in timeouts)
     assert "outcome: no incident" in replay(out / "episodes.jsonl", idle[0]["episode_id"])
+    # An episode that saw no incident was never escalated; with
+    # max_wait_ticks 1, recurring_dns once reported 20 of 20 escalated.
+    aggregates = json.loads((out / "report.jsonl").read_text().splitlines()[-1])["aggregates"]
+    assert aggregates["escalated"] == len(rows) - aggregates["resolved"] - len(idle)
+    if config == "recurring_dns":
+        assert aggregates["escalated"] == 0 and len(idle) == len(rows)
+
+
+def test_a_fault_far_ahead_is_skipped_to_not_stepped_to(dns_config_path, tmp_path):
+    # Each episode times out 80 ticks in, and the drain passes its fault's
+    # 10**9 ticks: stepped one by one, that took hours. The last episodes
+    # run past tick 2**32.
+    raw = json.loads(dns_config_path.read_text())
+    raw["scenario"][0]["lead"] = 10**9
+    start = time.perf_counter()
+    report = run(config_from_dict(raw), tmp_path / "out")
+    assert time.perf_counter() - start < 1.0
+    assert [r["path"] for r in report.rows] == ["no_incident"] * 20
+    assert report.aggregates["escalated"] == 0
+
+
+def _stepping_drain(feed, scenario, window):
+    """`runner._drain` as it was: every tick to the fault's end is stepped."""
+    sim = feed.sim
+    if scenario is not None and scenario.duration is not None:
+        end = scenario.start_tick + scenario.duration
+        if not sim.fault_cleared(scenario):
+            while sim.tick < end:
+                feed.step()
+    for _ in range(window + 1):
+        feed.step()
+
+
+def test_a_skipping_drain_writes_what_a_stepping_drain_writes(mixed_config_path, tmp_path, monkeypatch):
+    # At the default radius no ToR fault is localised, so its 200 ticks are
+    # drained after it escalates; the decommission's long lead times its
+    # episode out, and it falls due inside the second ToR drain.
+    raw = json.loads(mixed_config_path.read_text())
+    del raw["params"]["subgraph_radius"]
+    raw["episodes"] = 9
+    raw["scenario"][1]["duration"] = 200
+    raw["scenario"][4]["lead"] = 150
+    spans = []
+    skip_to = ClusterSim.skip_to
+
+    def recorded(sim, tick):
+        spans.append((sim.tick, tick))
+        skip_to(sim, tick)
+
+    monkeypatch.setattr(ClusterSim, "skip_to", recorded)
+    report = run(config_from_dict(raw), tmp_path / "skip")
+    monkeypatch.setattr(runner, "_drain", _stepping_drain)
+    run(config_from_dict(raw), tmp_path / "step")
+    assert [r["resolved"] for r in report.rows] == [True, False, True, True, False, True, False, True, True]
+    gone = json.loads((tmp_path / "skip" / "episodes.jsonl").read_text().splitlines()[5])["scenario"]
+    assert gone["kind"] == "node_decommission"
+    assert len(spans) == 2 and spans[1][0] <= gone["start_tick"] < spans[1][1]
+    names = sorted(p.name for p in (tmp_path / "skip").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "step").iterdir())
+    for name in names:
+        assert (tmp_path / "skip" / name).read_bytes() == (tmp_path / "step" / name).read_bytes(), name
+
+
+def test_frames_nobody_reads_are_never_drawn(dns_config_path, tmp_path, monkeypatch):
+    # A quiet tick draws its noise only when a reader needs the values: a
+    # detection window that fires, or a verification the envelope cannot
+    # settle. Each tick is drawn once at most.
+    drawn, steps = [], []
+    draw, step = ClusterSim._draw, ClusterSim.step
+    monkeypatch.setattr(ClusterSim, "_draw", lambda sim, tick, level: drawn.append(tick) or draw(sim, tick, level))
+    monkeypatch.setattr(ClusterSim, "step", lambda sim: steps.append(sim.tick) or step(sim))
+    report = run(load_config(dns_config_path), tmp_path / "out")
+    assert all(r["resolved"] for r in report.rows)
+    assert len(set(drawn)) == len(drawn) and set(drawn) <= set(steps)
+    assert len(steps) - len(drawn) > len(steps) // 3
 
 
 # The ids of the fuzzed config, and names to give them: each other's, the

@@ -1,13 +1,14 @@
 """The columnar telemetry plane against its references.
 
-Each tick's frame must equal a scalar, sample-by-sample recomputation of
-the tick, and the detector over the feed's window must raise exactly the
-alerts of the record-list reference (`conftest.detect_records`) over the
-same records. The simulator walks only the faults that can still act; the
-reference walks every fault ever injected. The detector scores only the
-series with a stray cell; the reference scores every series, so windows
-with samples at the edges of the stray threshold and of the alarm band pin
-the pruning."""
+Each tick's noise must equal numpy's own `default_rng((seed, SIM_STREAM,
+tick))` draw, each tick's frame a scalar, sample-by-sample recomputation
+of the tick, and the detector over the feed's window must raise exactly
+the alerts of the record-list reference (`conftest.detect_records`) over
+the same records. The simulator walks only the faults that can still act;
+the reference walks every fault ever injected. The detector scores only
+the series with a stray cell; the reference scores every series, so
+windows with samples at the edges of the stray threshold and of the alarm
+band pin the pruning. A quiet frame must answer as its drawn values do."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsloop.cluster import (
-    SIM_STREAM, ClusterSim, FaultScenario, RawEvent, TelemetrySample, TickFrame, build_topology,
+    SIM_STREAM, ClusterSim, FaultScenario, RawEvent, TelemetrySample, TickFrame, _TickNoise, build_topology,
 )
-from opsloop.config import BASELINES, DETECT_K, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
+from opsloop.config import ANOMALY_ATTR, BASELINES, DETECT_K, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
 from opsloop.ingest import FeedWindow, TelemetryFeed, TickBatch, _bands, _sigma, detect_anomalies, normalize
+from opsloop.orchestrator import AgentLoop, LoopParams
+from opsloop.reasoner import StopCondition
 
 from conftest import detect_records, small_topology_spec, tiny_topology_spec
 
@@ -393,3 +396,86 @@ def test_detector_rejects_a_noise_level_that_is_not_a_finite_positive_number(noi
     feed.step()
     with pytest.raises(ValueError, match="noise_pct must be a finite number > 0"):
         detect_anomalies(feed.window(), noise_pct=noise_pct)
+
+
+# -- block-seeded noise and quiet frames ---------------------------------------------
+
+# Tick 0, the edges of the first blocks, and the last block below 2**32 and
+# the first ones past it, where the block code falls back to `default_rng`.
+EDGE_TICKS = (0, 1, 255, 256, 511, 512, 2**32 - 257, 2**32 - 256, 2**32 - 1,
+              2**32, 2**32 + 1, 2**32 + 255, 2**32 + 256, 2**32 + 299)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]), st.integers(0, 2**70 - 1)),
+    ticks=st.lists(st.one_of(st.sampled_from(EDGE_TICKS), st.integers(0, 2**32 + 299)), min_size=1, max_size=10),
+)
+def test_block_seeded_noise_is_numpys_default_rng_at_every_tick(seed, ticks):
+    # Ticks come in random order, so a block is left and read again.
+    shape = (3, len(METRICS))
+    noise = _TickNoise(seed, shape)
+    for tick in ticks:
+        expected = np.random.default_rng((seed, SIM_STREAM, tick)).uniform(-1.0, 1.0, shape)
+        assert np.array_equal(noise.uniform(tick), expected), tick
+
+
+def test_frames_read_late_and_out_of_order_equal_the_scalar_reference(tiny_topology):
+    # 600 ticks cross two block edges; each frame is read only after the
+    # simulator has moved on, most of them from an earlier block.
+    sim, oracle = ClusterSim(tiny_topology, seed=6), ScalarSim(tiny_topology, 6, NOISE_PCT)
+    for sim_or_oracle in (sim, oracle):
+        sim_or_oracle.inject(FaultScenario(FaultKind.NOISY_NEIGHBOR, "n2", start_tick=250, duration=12))
+        sim_or_oracle.inject(FaultScenario(FaultKind.NODE_DECOMMISSION, "n1", start_tick=300))
+    frames = [sim.step()[0] for _ in range(600)]
+    expected = [oracle.step()[0] for _ in range(600)]
+    assert sum(f.envelope is None for f in frames) == 12
+    for tick in np.random.default_rng(0).permutation(600).tolist():
+        assert list(frames[tick]) == expected[tick], tick
+
+
+def _quiet_twin(batch: TickBatch) -> TickBatch:
+    """The batch with its frame drawn and no envelope: every answer from
+    the drawn values."""
+    f = batch.frame
+    return TickBatch(TickFrame(f.tick, f.entities, f.rows, f.values, f.live), batch.events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sim_noise=st.sampled_from([1e-17, 1e-13, NOISE_PCT, 0.3, 5.0]),
+    detect=st.one_of(st.sampled_from([1e-17, 1e-13, 5.0, "equal", None]),
+                     st.floats(0.1, 0.999).map(lambda share: ("below", share))),
+    seed=st.integers(0, 2**16),
+    gone=st.lists(st.sampled_from(["node-1", "node-4"]), max_size=2),
+    stops=st.lists(st.tuples(st.sampled_from(sorted(ANOMALY_ATTR.values())),
+                             st.sets(st.sampled_from(["node-2", "pod-dns-1", "pod-ledger-2", "svc-dns",
+                                                      "node-1", "pod-checkout-1"]))),
+                   min_size=1, max_size=4),
+)
+def test_a_quiet_frame_answers_as_its_drawn_values_do(sim_noise, detect, seed, gone, stops):
+    # A detection level below the simulator's puts the stray threshold
+    # inside the noise, so those frames must be drawn.
+    if detect == "equal":
+        detect = sim_noise
+    elif isinstance(detect, tuple):
+        detect = sim_noise * detect[1]
+    sim = ClusterSim(build_topology(small_topology_spec()), seed=seed, noise_pct=sim_noise)
+    for node in gone:
+        sim.inject(FaultScenario(FaultKind.NODE_DECOMMISSION, node, start_tick=1))
+    drawn = []
+    draw = sim._draw
+    sim._draw = lambda tick, level: drawn.append(tick) or draw(tick, level)
+    loop = AgentLoop(None, None, LoopParams(noise_pct=NOISE_PCT if detect is None else detect))
+    for _ in range(3):
+        frame, _ = sim.step()
+        assert frame.envelope is not None
+        quiet = TickBatch(frame, ())
+        strays = quiet.strays(detect)
+        met = [loop._stop_met(quiet, StopCondition(attr, frozenset(ents))) for attr, ents in stops]
+        if detect == sim_noise > 1e-13:  # the envelope settles both answers (see `_bands`)
+            assert frame.tick not in drawn
+            assert strays.size == 0 and all(met)
+        twin = _quiet_twin(quiet)
+        assert np.array_equal(strays, twin.strays(detect))
+        assert met == [loop._stop_met(twin, StopCondition(attr, frozenset(ents))) for attr, ents in stops]
