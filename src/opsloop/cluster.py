@@ -585,6 +585,14 @@ class ClusterSim:
         self._tick = tick + 1
         return TickFrame(tick, self._noise_order, self._row, values, self._live.copy(), envelope), events
 
+    def next_acting_tick(self) -> int | None:
+        """The first tick from now on at which a fault still acting may
+        offset a cell, emit an event or finish a decommission: its start,
+        or now once started. None when no fault is acting. Until then every
+        frame is quiet and no tick has an event."""
+        starts = [f.scenario.start_tick for f in self._acting]
+        return max(self._tick, min(starts)) if starts else None
+
     def skip_to(self, tick: int) -> None:
         """Move the clock on to `tick` without making the frames or events of
         the ticks passed over. What those ticks change in the fleet is done

@@ -355,3 +355,34 @@ class TelemetryFeed:
 
     def window(self) -> FeedWindow:
         return FeedWindow(self._ring)
+
+    def skip_quiet(self, ticks: int, noise_pct: float) -> int:
+        """Pass over, without stepping, ticks of the next `ticks` on which
+        no window can fire at `noise_pct`; return how many were passed.
+
+        When the ring holds frames, every one quiet, with no event and
+        within the stray threshold (`_within_strays`), and no fault acts
+        before tick `end + W` (W the ring's size), every window that ends
+        before that tick holds only such frames: the ticks up to it are
+        quiet with no event, and a simulator's quiet frames share one
+        envelope. Such a window has no stray series and no event, and
+        fires nothing. So the clock jumps to `end`, the lesser of that
+        first acting tick and the `ticks` limit, minus W: the W ticks
+        stepped after the jump refill the ring with the frames stepping
+        every tick would have left in it, before a fault acts or the limit
+        is reached."""
+        sim = self.sim
+        now = sim.tick
+        end = now + ticks
+        acting = sim.next_acting_tick()
+        if acting is not None and acting < end:
+            end = acting
+        end -= self.window_ticks
+        if end <= now or not self._ring or not all(
+            b.frame.envelope is not None and not b.events
+            and _within_strays(b.frame.envelope, noise_pct)
+            for b in self._ring
+        ):
+            return 0
+        sim.skip_to(end)
+        return end - now

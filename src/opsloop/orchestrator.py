@@ -381,12 +381,14 @@ class AgentLoop:
         descriptor: IncidentDescriptor | None = None
 
         with suppress(_Stop):
-            # Idle: watch the feed until the detector raises, or time out and stay Idle.
+            # Idle: watch the feed until the detector raises, or time out and
+            # stay Idle. Ticks no window can fire on are passed over, not stepped.
             waited = 0
             while not alerts:
                 if waited >= params.max_wait_ticks:
                     advance(Event.IDLE_TIMEOUT)  # Idle -> Idle
                     raise _Stop()
+                waited += self.feed.skip_quiet(params.max_wait_ticks - waited, params.noise_pct)
                 self.feed.step()
                 waited += 1
                 found = detect_anomalies(

@@ -88,9 +88,24 @@ _INT, _NUMBER, _STRING = ((int,), "an int"), ((int, float), "a number"), ((str,)
 _PARAM_TYPES = {int: _INT, float: _NUMBER, type(None): ((dict, type(None)), "an object")}
 # What each key of a scenario row takes; kind and target are required.
 _ROW_TYPES = {"kind": _STRING, "target": _STRING, "magnitude": _NUMBER, "duration": _INT, "lead": _INT}
-# The least value each size param can run with: a ring, a buffer and a pack
-# need room for one item, and a subgraph radius counts hops from 0.
-_PARAM_MINIMUMS = {"detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1}
+# The least value each int param can run with: a ring, a buffer and a pack
+# need room for one item, and a subgraph radius counts hops from 0. A
+# cadence below 1 learns after every episode, fewer than one verify tick
+# escalates every episode, and so does a negative tool-call limit; a
+# negative wait times every episode out idle.
+_PARAM_MINIMUMS = {
+    "detect_window": 1, "pack_budget": 1, "subgraph_radius": 0, "buffer_capacity": 1,
+    "learning_cadence": 1, "verify_ticks": 1, "escalation_after": 1,
+    "max_wait_ticks": 0, "episodic_k": 0, "tool_call_limit": 0, "retire_age_episodes": 0,
+}
+# The range each number param takes, as a test and its wording. NaN, which
+# Python's json reads, fails every comparison, so both tests reject it.
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_FRACTION = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_PARAM_RANGES = {
+    "noise_pct": _POSITIVE, "compute_limit": _POSITIVE,
+    "min_support": _FRACTION, "min_confidence": _FRACTION, "retire_confidence_floor": _FRACTION,
+}
 _ACTION_NAMES = frozenset(a.value for a in ActionKind)
 
 
@@ -233,10 +248,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     for name, least in _PARAM_MINIMUMS.items():
         if getattr(params, name) < least:
             raise ConfigError(f"params.{name} must be >= {least}")
-    # At 0, sigma is 0 and the detector fires on the rounding of an EWMA of
-    # baseline samples; below 0, every alarm band is negative.
-    if not 0.0 < params.noise_pct < math.inf:
-        raise ConfigError(f"params.noise_pct must be a finite number > 0, got {params.noise_pct!r}")
+    # At noise_pct 0, sigma is 0 and the detector fires on the rounding of
+    # an EWMA of baseline samples; below 0, every alarm band is negative.
+    for name, (within, kind) in _PARAM_RANGES.items():
+        value = getattr(params, name)
+        if not within(value):
+            raise ConfigError(f"params.{name} must be {kind}, got {value!r}")
 
     _check_runbooks_and_policies(raw, topology)
     return RunConfig(

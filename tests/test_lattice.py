@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opsloop import lattice as lattice_module
 from opsloop.config import is_outcome_label
 from opsloop.lattice import (
     Concept,
@@ -32,6 +33,7 @@ from opsloop.lattice import (
     validated_rules,
 )
 from opsloop.memory import Episode, KnowledgeGraph, default_ontology
+from opsloop.runner import load_config, run
 
 
 # -- independent oracles ----------------------------------------------------------
@@ -645,6 +647,105 @@ def test_a_rule_loses_confidence_when_only_its_antecedent_grows():
     assert _rule_ids(mined) == _rule_ids(mine_rules(copy_of(second), 0.2, 0.8))
 
 
+# -- insertion: closed rows and scanned rows ---------------------------------------
+
+
+@st.composite
+def recurring_chunks(draw):
+    """Attributes from LABELLED_POOL and rows in chunks: most rows come
+    from a few recurring patterns, some are wide (every attribute but at
+    most two), the rest random. The first chunk is built fresh, each later
+    one extends the context before it."""
+    attributes = draw(st.lists(st.sampled_from(LABELLED_POOL), min_size=1, max_size=9, unique=True))
+    full = (1 << len(attributes)) - 1
+    pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    wide = st.sets(st.integers(0, len(attributes) - 1), max_size=2).map(
+        lambda drop: full & ~sum(1 << i for i in drop))
+    row = st.one_of(st.sampled_from(pool), st.sampled_from(pool), st.sampled_from(pool),
+                    wide, st.integers(0, full))
+    chunks = draw(st.lists(st.lists(row, max_size=12), min_size=1, max_size=4))
+    return attributes, chunks
+
+
+@settings(max_examples=100, deadline=None)
+@given(recurring_chunks(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_every_insert_leaves_the_textbook_lattice_of_the_rows_so_far(payload, mine):
+    """After every insert, in fresh builds and in chains of `_extended`,
+    with the lattice mined or not: the intents in lectic order and the
+    closure count are NextClosure's over the rows inserted so far, every
+    extent holds exactly those of the rows that have its intent (a fresh
+    build's may hold later rows too), and a mined lattice has touched the
+    old intents met by the row and the new ones."""
+    attributes, chunks = payload
+    insert = FormalContext._insert
+
+    def checked(ctx, bit, row):
+        lattice = ctx._lattice
+        before, touched = [i & row for i in lattice.intents], set(lattice.touched)
+        insert(ctx, bit, row)
+        objects = ctx.objects[:bit.bit_length()]
+        rows = {o: ctx._attrs_from_mask(ctx._obj_intents[i]) for i, o in enumerate(objects)}
+        intents, calls = textbook_next_closure(objects, list(attributes), rows)
+        assert [ctx._attrs_from_mask(i) for i in lattice.intents] == intents
+        assert lattice.closure_calls == calls
+        assert lattice.keys == sorted(lattice.keys) and len(lattice.extents) == len(intents)
+        so_far = bit | (bit - 1)
+        for intent in lattice.intents:
+            extent = ctx._objs_from_mask(lattice.extents[intent] & so_far)
+            assert extent == {o for o in objects if ctx._attrs_from_mask(intent) <= rows[o]}
+        if lattice.mined_support is not None:
+            assert lattice.touched == touched | set(before)
+
+    serial = iter(range(10_000))
+    ctx = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FormalContext, "_insert", checked)
+        for chunk, mined in zip(chunks, mine):
+            named = {f"o{next(serial):03d}": row for row in chunk}
+            if ctx is None:
+                ctx = FormalContext(named, attributes, [
+                    (o, a) for o, row in named.items() for j, a in enumerate(attributes)
+                    if row >> j & 1])
+            else:
+                ctx = ctx._extended(named)
+            if mined or ctx._lattice is None:
+                assert mine_rules(ctx, 0.2, 0.5) == mine_rules(copy_of(ctx), 0.2, 0.5)
+        assert ctx.concepts() == copy_of(ctx).concepts()
+
+
+class _Unscanned(list):
+    """Intents that fail the test when anything iterates over them."""
+
+    def __iter__(self):
+        raise AssertionError("the insert scanned every intent")
+
+
+def test_a_closed_narrow_row_never_scans_the_intents():
+    rng = random.Random(0)
+    attributes = [f"a{j}" for j in range(8)]
+    rows = {f"o{i:02d}": rng.getrandbits(8) & rng.getrandbits(8) for i in range(24)}
+    ctx = FormalContext(rows, attributes, [
+        (o, a) for o, row in rows.items() for j, a in enumerate(attributes) if row >> j & 1])
+    mine_rules(ctx)  # builds the lattice and starts tracking what it touches
+    lattice = ctx._lattice
+    closed = next(row for row in rows.values() if row.bit_count() == 3)  # an object's intent
+    assert (1 << 3) * 2 < len(lattice.intents)
+    extents, calls = dict(lattice.extents), lattice.closure_calls
+    lattice.intents = _Unscanned(lattice.intents)
+    grown = ctx._extended({"o24": closed})
+    lattice = grown._lattice
+    assert lattice.closure_calls == calls and lattice.extents.keys() == extents.keys()
+    inside = {i for i in extents if i & closed == i}
+    assert lattice.touched == inside
+    for intent, extent in lattice.extents.items():
+        assert extent == extents[intent] | (1 << 24 if intent in inside else 0)
+    assert list.__iter__(lattice.intents) is not None
+    # A row the lattice does not hold still meets every intent.
+    fresh = next(m for m in range(256) if m not in extents and m.bit_count() == 3)
+    with pytest.raises(AssertionError, match="scanned every intent"):
+        grown._extended({"o25": fresh})
+
+
 def test_mine_rules_empty_context():
     assert mine_rules(FormalContext([], [], [])) == []
 
@@ -785,6 +886,68 @@ def test_inject_rules_resurrects_retired_rule_in_place():
     assert back.asserted_tick == 5  # original birth tick survives
     assert back.last_confirmed_tick == 40 and back.last_confirmed_count == 9
     assert len(kg.rules) == 1
+
+
+@pytest.mark.parametrize("status", ["validated", "retired"])
+def test_a_re_mined_rule_asserts_nothing_and_updates_in_place(monkeypatch, status):
+    kg = seeded_kg()
+    first = good_rule(confidence=0.9)
+    first.checked = True
+    stored = inject_rules([first], kg, tick=5, episode_count=2)[0]
+    stored.status = status
+    triples, entities = kg.export_tsv(), dict(kg._entities)
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("a re-mined rule wrote to the graph")
+
+    monkeypatch.setattr(kg, "register_entity", untouched)
+    monkeypatch.setattr(kg, "assert_triple", untouched)
+    again = good_rule(confidence=0.95, provenance=("ep-7", "ep-8"))
+    again.support = 0.75
+    again.checked = True
+    assert inject_rules([again], kg, tick=40, episode_count=9) == [stored]
+    assert kg.export_tsv() == triples and kg._entities == entities
+    assert (stored.support, stored.confidence, stored.provenance) == (0.75, 0.95, ("ep-7", "ep-8"))
+    assert stored.status == "validated" and stored.checked
+    assert (stored.asserted_tick, stored.last_confirmed_tick, stored.last_confirmed_count) == (5, 40, 9)
+
+
+def _asserting_inject_rules(rules, kg, tick, episode_count):
+    """`inject_rules` as it was: every injected rule, re-mined or new,
+    registers its entities and asserts its triples."""
+    injected = inject_rules(rules, kg, tick, episode_count)
+    for rule in injected:
+        kg.register_entity(rule.rule_id, "Rule")
+        kg.register_entity(aset_id(rule.antecedent), "AttributeSet")
+        for cause in sorted(rule.cause_labels):
+            kind = cause[len("cause_"):]
+            kg.assert_triple(aset_id(rule.antecedent), "indicates", kind, provenance="ill", tick=tick)
+            for label in sorted(rule.consequent):
+                if label.startswith("resolved_by_"):
+                    kg.assert_triple(kind, "remedied_by", label[len("resolved_by_"):],
+                                     provenance="ill", tick=tick)
+    return injected
+
+
+def test_re_mined_rules_write_the_graph_and_rules_of_re_asserting_them(
+    forgetting_config_path, tmp_path, monkeypatch
+):
+    # decommission_forgetting's second learning pass mines again a rule
+    # retired since the first.
+    re_mined = []
+    inject = lattice_module.inject_rules
+
+    def counted(rules, kg, tick, episode_count):
+        re_mined.extend(kg.rules[r.rule_id].status for r in rules if r.rule_id in kg.rules)
+        return inject(rules, kg, tick, episode_count)
+
+    monkeypatch.setattr(lattice_module, "inject_rules", counted)
+    run(load_config(forgetting_config_path), tmp_path / "now")
+    monkeypatch.setattr(lattice_module, "inject_rules", _asserting_inject_rules)
+    run(load_config(forgetting_config_path), tmp_path / "before")
+    assert re_mined == ["retired"]
+    for name in ("kg.tsv", "rules.jsonl"):
+        assert (tmp_path / "now" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
 
 def test_retire_rules_exclusive_decommission_provenance():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opsloop.cluster import ClusterSim, FaultScenario, TickFrame, build_topology
-from opsloop.config import BASELINES, METRICS, TARIFF_MEMORY_ITEM
+from opsloop.config import BASELINES, METRICS, NOISE_PCT, TARIFF_MEMORY_ITEM
 from opsloop.contextpack import IncidentDescriptor
 from opsloop.ingest import TelemetryFeed, TickBatch, UnifiedRecord
 from opsloop.memory import (
@@ -401,6 +401,31 @@ def test_learning_fires_on_cadence():
     assert "ill" in loop.memories.kg.export_tsv()[1] or any(
         t.provenance == "ill" for t in loop.memories.kg.query(None, "indicates", None)
     )
+
+
+@pytest.mark.parametrize("detect_noise, fresh_feed, jumps", [
+    (NOISE_PCT, False, True), (NOISE_PCT / 4, False, False), (NOISE_PCT / 4, True, False)])
+def test_a_wait_passes_over_only_ticks_no_window_can_fire_on(monkeypatch, detect_noise, fresh_feed, jumps):
+    # Below the simulator's noise a quiet window can fire, and a fresh feed
+    # holds no frame to bound the ones to come, so such a wait steps every
+    # tick; at the simulator's noise it jumps to the fault. Either way each
+    # episode's transitions are those of stepping every tick.
+    def episodes(skip_quiet):
+        monkeypatch.setattr(TelemetryFeed, "skip_quiet", skip_quiet)
+        sim, loop = make_loop([throttle_runbook()], noise_pct=detect_noise, max_wait_ticks=400)
+        if fresh_feed:
+            loop.feed = TelemetryFeed(sim, window_ticks=loop.params.detect_window)
+        sim.inject(FaultScenario("noisy_neighbor", "n1", start_tick=300, duration=40, magnitude=0.8))
+        return [[(t.tick, t.event) for t in loop.run_episode(f"ep-{i}").transitions] for i in (1, 2)]
+
+    passed = []
+    skip_quiet = TelemetryFeed.skip_quiet
+    jumping = episodes(lambda feed, ticks, noise: passed.append(skip_quiet(feed, ticks, noise)) or passed[-1])
+    stepping = episodes(lambda feed, ticks, noise: 0)
+    assert jumping == stepping
+    assert (sum(passed) > 250) is jumps
+    # Below the simulator's noise, quiet windows fired before the fault.
+    assert (stepping[0][0][0] < 300) is not jumps
 
 
 def test_loop_times_out_when_nothing_happens():

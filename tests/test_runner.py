@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opsloop import runner
+from opsloop import orchestrator, runner
 from opsloop.cli import main
 from opsloop.cluster import ClusterSim
 from opsloop.config import SYMPTOM_VOCAB, ActionKind, FaultKind
 from opsloop.contextpack import TraceEntry
+from opsloop.ingest import TelemetryFeed
 from opsloop.orchestrator import legal_transition_triples
 from opsloop.runner import (
     ConfigError,
@@ -171,6 +172,51 @@ def test_out_of_range_loop_params_are_config_errors(
     assert not out_dir.exists()
     raw["params"][param] = least
     assert getattr(config_from_dict(raw).params, param) == least
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "param, bad, message",
+    [
+        # Learned after every episode.
+        ("learning_cadence", 0, "must be >= 1"),
+        ("learning_cadence", -1, "must be >= 1"),
+        # Escalated every episode.
+        ("verify_ticks", 0, "must be >= 1"),
+        ("tool_call_limit", -1, "must be >= 0"),
+        ("compute_limit", 0, "must be a finite number > 0, got 0"),
+        # Timed every episode out idle.
+        ("max_wait_ticks", -1, "must be >= 0"),
+        # Loaded with no sign.
+        ("escalation_after", 0, "must be >= 1"),
+        ("episodic_k", -2, "must be >= 0"),
+        ("retire_age_episodes", -1, "must be >= 0"),
+        ("min_support", _NAN, r"must be a number in \[0, 1\], got nan"),
+        ("min_support", 2, r"must be a number in \[0, 1\], got 2"),
+        ("min_confidence", _NAN, r"must be a number in \[0, 1\], got nan"),
+        ("min_confidence", -0.5, r"must be a number in \[0, 1\], got -0.5"),
+        ("retire_confidence_floor", _NAN, r"must be a number in \[0, 1\], got nan"),
+        ("retire_confidence_floor", 1.5, r"must be a number in \[0, 1\], got 1.5"),
+        ("compute_limit", _NAN, "must be a finite number > 0, got nan"),
+        ("compute_limit", float("inf"), "must be a finite number > 0, got inf"),
+    ],
+)
+def test_loop_params_that_misbehave_are_config_errors(
+    dns_config_path, tmp_path, capsys, param, bad, message
+):
+    # Each once loaded and ran to exit 0: cadence and wait values that
+    # change what every episode does, and the rest with no sign at all.
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 2
+    raw["params"][param] = bad
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opsloop: config error: ")
+    assert re.search(rf"params\.{param} {message}", err), err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -636,14 +682,23 @@ def test_a_skipping_drain_writes_what_a_stepping_drain_writes(mixed_config_path,
     raw["episodes"] = 9
     raw["scenario"][1]["duration"] = 200
     raw["scenario"][4]["lead"] = 150
-    spans = []
-    skip_to = ClusterSim.skip_to
+    spans = []  # the skips the drain makes; the idle wait skips too
+    skip_to, drain = ClusterSim.skip_to, runner._drain
+    draining = False
 
     def recorded(sim, tick):
-        spans.append((sim.tick, tick))
+        if draining:
+            spans.append((sim.tick, tick))
         skip_to(sim, tick)
 
+    def recorded_drain(feed, scenario, window):
+        nonlocal draining
+        draining = True
+        drain(feed, scenario, window)
+        draining = False
+
     monkeypatch.setattr(ClusterSim, "skip_to", recorded)
+    monkeypatch.setattr(runner, "_drain", recorded_drain)
     report = run(config_from_dict(raw), tmp_path / "skip")
     monkeypatch.setattr(runner, "_drain", _stepping_drain)
     run(config_from_dict(raw), tmp_path / "step")
@@ -655,6 +710,72 @@ def test_a_skipping_drain_writes_what_a_stepping_drain_writes(mixed_config_path,
     assert names == sorted(p.name for p in (tmp_path / "step").iterdir())
     for name in names:
         assert (tmp_path / "skip" / name).read_bytes() == (tmp_path / "step" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("wait, path", [(10**9, "no_incident"), (2 * 10**9, "propagation")])
+def test_a_fault_far_ahead_is_waited_for_in_a_jump(dns_config_path, tmp_path, wait, path):
+    # Stepped tick by tick, each of these waits took about two hours.
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 1
+    raw["scenario"][0]["lead"] = 10**9
+    raw["params"]["max_wait_ticks"] = wait
+    start = time.perf_counter()
+    report = run(config_from_dict(raw), tmp_path / "out")
+    assert time.perf_counter() - start < 1.0
+    (row,) = report.rows
+    assert row["path"] == path and row["resolved"] == (path != "no_incident")
+    if row["resolved"]:
+        assert row["start_tick"] >= 10**9 and row["correct"]
+
+
+def _waits(raw, leads, wait):
+    """`raw` with its templates cycled over `leads` and a wait of `wait`."""
+    templates = raw["scenario"]
+    raw["scenario"] = [dict(templates[i % len(templates)], lead=lead) for i, lead in enumerate(leads)]
+    raw["params"]["max_wait_ticks"] = wait
+    raw["episodes"] = len(leads)
+    return raw
+
+
+@pytest.mark.parametrize("config, leads", [
+    ("recurring_dns", [40, 150, 7, 95, 101, 1, 99, 250]),
+    ("decommission_forgetting", [60, 120, 3, 98, 30, 99, 103, 140, 55, 104]),
+    ("mixed_faults", [30, 120, 60, 90, 103, 150]),
+])
+def test_a_jumping_wait_writes_what_a_stepping_wait_writes(tmp_path, monkeypatch, config, leads):
+    # Leads about the wait of 100 ticks: faults due well inside it, just
+    # inside and just past its end, and long past it, so some episodes
+    # time out idle. A decommission 103 ticks ahead falls due while the
+    # drain flushes the ring, and the next episode must still see its
+    # event. Every window that holds more than quiet frames is the same
+    # run for run, down to its ticks.
+    raw = _waits(json.loads((CONFIG_DIR / f"{config}.json").read_text()), leads, 100)
+    detect = orchestrator.detect_anomalies
+    windows: dict[str, list] = {"jump": [], "step": []}
+    side = "jump"
+
+    def watched(window, **kwargs):
+        batches = window.batches
+        if any(b.frame.envelope is None or b.events for b in batches):
+            windows[side].append([b.frame.tick for b in batches])
+        return detect(window, **kwargs)
+
+    passed = []
+    skip_quiet = TelemetryFeed.skip_quiet
+    monkeypatch.setattr(orchestrator, "detect_anomalies", watched)
+    monkeypatch.setattr(TelemetryFeed, "skip_quiet",
+                        lambda feed, ticks, noise: passed.append(skip_quiet(feed, ticks, noise)) or passed[-1])
+    report = run(config_from_dict(raw), tmp_path / "jump")
+    side = "step"
+    monkeypatch.setattr(TelemetryFeed, "skip_quiet", lambda feed, ticks, noise: 0)
+    run(config_from_dict(raw), tmp_path / "step")
+    assert sum(passed) > 50 * len(leads)  # most of the lead is jumped
+    assert {r["path"] for r in report.rows} > {"no_incident"}
+    assert windows["jump"] == windows["step"]
+    names = sorted(p.name for p in (tmp_path / "jump").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "step").iterdir())
+    for name in names:
+        assert (tmp_path / "jump" / name).read_bytes() == (tmp_path / "step" / name).read_bytes(), name
 
 
 def test_frames_nobody_reads_are_never_drawn(dns_config_path, tmp_path, monkeypatch):
