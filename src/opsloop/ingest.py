@@ -2,10 +2,11 @@
 
 Raw simulator output is kept in two shapes. Telemetry stays columnar: the
 feed holds each tick's `TickFrame` (one entity x metric array) in a ring
-of the last W ticks. Discrete events are rare, so each becomes a
-`UnifiedRecord` as it arrives. `UnifiedRecord`s for telemetry are built
-only for the samples a fired series cites as evidence, or when a caller
-iterates a batch or the window.
+of the last W ticks, and passes the clock over ticks no window is read at
+(`pass_to`) by stepping only the last W of them. Discrete events are rare,
+so each becomes a `UnifiedRecord` as it arrives. `UnifiedRecord`s for
+telemetry are built only for the samples a fired series cites as
+evidence, or when a caller iterates a batch or the window.
 
 The detector scores each (entity, metric) series of the feed's window
 with an exponentially weighted moving average started at the baseline b.
@@ -356,33 +357,31 @@ class TelemetryFeed:
     def window(self) -> FeedWindow:
         return FeedWindow(self._ring)
 
-    def skip_quiet(self, ticks: int, noise_pct: float) -> int:
-        """Pass over, without stepping, ticks of the next `ticks` on which
-        no window can fire at `noise_pct`; return how many were passed.
+    def pass_to(self, tick: int) -> None:
+        """Move the clock on to `tick`. Only the last W ticks before it (W
+        the ring's size) can be in the ring, so the clock skips to
+        `tick - W` and steps the rest: the ring then holds what stepping
+        every tick would have left in it. No window is scored on the way."""
+        self.sim.skip_to(tick - self.window_ticks)
+        while self.sim.tick < tick:
+            self.step()
+
+    def quiet_until(self, limit: int, noise_pct: float) -> int:
+        """The furthest tick, up to `limit` but at least the next one, that
+        the clock can pass to without skipping a window that could fire at
+        `noise_pct`.
 
         When the ring holds frames, every one quiet, with no event and
-        within the stray threshold (`_within_strays`), and no fault acts
-        before tick `end + W` (W the ring's size), every window that ends
-        before that tick holds only such frames: the ticks up to it are
+        within the stray threshold (`_within_strays`), so does every window
+        read before the first tick a fault acts on: the ticks up to it are
         quiet with no event, and a simulator's quiet frames share one
         envelope. Such a window has no stray series and no event, and
-        fires nothing. So the clock jumps to `end`, the lesser of that
-        first acting tick and the `ticks` limit, minus W: the W ticks
-        stepped after the jump refill the ring with the frames stepping
-        every tick would have left in it, before a fault acts or the limit
-        is reached."""
-        sim = self.sim
-        now = sim.tick
-        end = now + ticks
-        acting = sim.next_acting_tick()
-        if acting is not None and acting < end:
-            end = acting
-        end -= self.window_ticks
-        if end <= now or not self._ring or not all(
-            b.frame.envelope is not None and not b.events
-            and _within_strays(b.frame.envelope, noise_pct)
+        fires nothing. Otherwise the bound is the next tick."""
+        now = self.sim.tick
+        if self._ring and all(
+            b.frame.envelope is not None and not b.events and _within_strays(b.frame.envelope, noise_pct)
             for b in self._ring
         ):
-            return 0
-        sim.skip_to(end)
-        return end - now
+            acting = self.sim.next_acting_tick()
+            return max(now + 1, limit if acting is None else min(acting, limit))
+        return now + 1

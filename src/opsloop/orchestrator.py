@@ -382,15 +382,16 @@ class AgentLoop:
 
         with suppress(_Stop):
             # Idle: watch the feed until the detector raises, or time out and
-            # stay Idle. Ticks no window can fire on are passed over, not stepped.
+            # stay Idle. Windows that cannot fire are passed over, not scored.
             waited = 0
             while not alerts:
                 if waited >= params.max_wait_ticks:
                     advance(Event.IDLE_TIMEOUT)  # Idle -> Idle
                     raise _Stop()
-                waited += self.feed.skip_quiet(params.max_wait_ticks - waited, params.noise_pct)
-                self.feed.step()
-                waited += 1
+                now = self.feed.sim.tick
+                tick = self.feed.quiet_until(now + params.max_wait_ticks - waited, params.noise_pct)
+                self.feed.pass_to(tick)
+                waited += tick - now
                 found = detect_anomalies(
                     self.feed.window(), noise_pct=params.noise_pct,
                     min_ticks=params.detect_window,

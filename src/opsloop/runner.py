@@ -4,6 +4,10 @@ A run config pins the topology, the fault script, seed runbooks, policies,
 and loop parameters. `run` drives the agent loop over the scripted
 episodes and writes report.jsonl, episodes.jsonl, transitions.log, kg.tsv,
 episodic.jsonl, rules.jsonl, and one mining-context CSV per learning pass.
+Before the first episode the feed fills its ring; after each episode it
+passes the rest of the episode's uncleared fault and W + 1 ticks more (W
+the detection window), so the next episode starts on a ring of quiet
+ticks. `TelemetryFeed.pass_to` steps only the last W ticks it passes.
 Identical configs produce byte-identical files.
 """
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .cluster import (
     check_free_id,
     check_scenario,
 )
-from .config import SECTION_ORDER, ActionKind, FaultKind
+from .config import SECTION_ORDER, SYMPTOM_VOCAB, ActionKind, FaultKind
 from .contextpack import TraceEntry
 from .ingest import TelemetryFeed
 from .lattice import rules_jsonl
@@ -107,6 +111,30 @@ _PARAM_RANGES = {
     "min_support": _FRACTION, "min_confidence": _FRACTION, "retire_confidence_floor": _FRACTION,
 }
 _ACTION_NAMES = frozenset(a.value for a in ActionKind)
+_SYMPTOMS = frozenset(SYMPTOM_VOCAB)
+
+
+def _check_keys(obj: dict, what: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> None:
+    """Reject a config object that lacks a key of `required` or holds one
+    outside `allowed`: a misspelt key would otherwise load as left out."""
+    missing = [key for key in required if key not in obj]
+    unknown = sorted(obj.keys() - set(allowed))
+    if missing or unknown:
+        fault = f"{what} missing {missing[0]!r}" if missing else f"unknown {what} keys: {unknown}"
+        needs = f"needs {', '.join(required[:-1])} and {required[-1]}, and" if required else "takes"
+        raise ConfigError(f"{fault}; {what} {needs} keys in {list(allowed)}; got {sorted(obj)}")
+
+
+def _check_topology_keys(spec: dict) -> None:
+    """Reject unknown keys in a topology spec whose shape `build_topology`
+    has accepted."""
+    _check_keys(spec, "topology", ("racks", "dependencies"))
+    for r, rack in enumerate(spec["racks"]):
+        _check_keys(rack, f"topology.racks[{r}]", ("id", "switch", "nodes"))
+        for n, node in enumerate(rack.get("nodes", ())):
+            _check_keys(node, f"topology.racks[{r}].nodes[{n}]", ("id", "generation", "pods"))
+            for k, pod in enumerate(node.get("pods", ())):
+                _check_keys(pod, f"topology.racks[{r}].nodes[{n}].pods[{k}]", ("id", "service"))
 
 
 def _check_type(value, types: tuple[type, ...], kind: str, what: str) -> None:
@@ -132,27 +160,30 @@ def _check_runbooks_and_policies(raw: dict, topology: ClusterTopology) -> None:
             raise ConfigError(f"{key} must be a list of objects")
     ids: set[str] = set()
     for i, rb in enumerate(runbooks):
-        for key in ("id", "trigger", "steps"):
-            if key not in rb:
-                raise ConfigError(f"seed_runbooks[{i}] missing {key!r}")
+        _check_keys(rb, f"seed_runbooks[{i}]", ("id", "trigger", "steps", "policy_tags"),
+                    required=("id", "trigger", "steps"))
         if not isinstance(rb["id"], str) or rb["id"] in ids:
             raise ConfigError(f"seed_runbooks[{i}] id must be a new string, got {rb['id']!r}")
         ids.add(rb["id"])
-        _check_names(rb["trigger"], f"seed_runbooks[{i}].trigger")
+        _check_names(rb["trigger"], f"seed_runbooks[{i}].trigger", _SYMPTOMS)
         _check_names(rb["steps"], f"seed_runbooks[{i}].steps", _ACTION_NAMES)
         if not rb["steps"]:
             raise ConfigError(f"seed_runbooks[{i}].steps must not be empty")
         _check_names(rb.get("policy_tags", []), f"seed_runbooks[{i}].policy_tags")
     services = frozenset(topology.services)
+    classes = dict(topology.classes)
     for i, pol in enumerate(policies):
+        _check_keys(pol, f"policies[{i}]", ("id", "applies_to"))
         pid = pol.get("id")
         if not isinstance(pid, str):
             raise ConfigError(f"policies[{i}] id must be a string, got {pid!r}")
-        # A policy is a graph entity: its id must be free in the graph's one namespace.
+        # A policy is a graph entity: its id must be free in the graph's one
+        # namespace, which the policies before it have joined.
         try:
-            check_free_id(topology.classes, pid)
+            check_free_id(classes, pid)
         except TopologyError as exc:
             raise ConfigError(f"policies[{i}] {exc}") from None
+        classes[pid] = "Policy"
         _check_names(pol.get("applies_to", []), f"policy {pid!r} applies_to", services)
     _check_names(raw.get("blocked_policy_tags", []), "blocked_policy_tags")
 
@@ -183,6 +214,8 @@ def _check_can_fire(topology: ClusterTopology, scenario: list[ScenarioTemplate],
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
+    _check_keys(raw, "config", ("seed", "episodes", "topology", "scenario", "seed_runbooks",
+                                "policies", "blocked_policy_tags", "params"))
     try:
         seed = raw["seed"]
         episodes = raw.get("episodes", 0)
@@ -199,15 +232,14 @@ def config_from_dict(raw: dict) -> RunConfig:
         topology = build_topology(topology_spec)
     except Exception as exc:
         raise ConfigError(f"bad topology: {exc}") from None
+    _check_topology_keys(topology_spec)
 
     rows = raw.get("scenario", [])
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ConfigError("scenario must be a list of objects")
     scenario: list[ScenarioTemplate] = []
     for i, row in enumerate(rows):
-        if not {"kind", "target"} <= row.keys() <= _ROW_TYPES.keys():
-            raise ConfigError(f"scenario[{i}] needs kind and target, and keys in {list(_ROW_TYPES)}; "
-                              f"got {sorted(row)}")
+        _check_keys(row, f"scenario[{i}]", tuple(_ROW_TYPES), required=("kind", "target"))
         for key, value in row.items():
             _check_type(value, *_ROW_TYPES[key], f"scenario[{i}].{key}")
         try:  # the keys a row leaves out take the template's defaults
@@ -229,9 +261,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     params_raw = raw.get("params", {})
     if not isinstance(params_raw, dict):
         raise ConfigError("params must be an object")
-    unknown = set(params_raw) - _PARAM_DEFAULTS.keys()
-    if unknown:
-        raise ConfigError(f"unknown params keys: {sorted(unknown)}")
+    _check_keys(params_raw, "params", tuple(_PARAM_DEFAULTS))
     for name, value in params_raw.items():
         _check_type(value, *_PARAM_TYPES[type(_PARAM_DEFAULTS[name])], f"params.{name}")
     # The loop lays section caps over DEFAULT_SECTION_CAPS, so any subset may be named.
@@ -302,9 +332,7 @@ def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
     for pol in config.policies:
         kg.register_entity(pol["id"], "Policy")
         for svc in pol.get("applies_to", []):
-            result = kg.assert_triple(svc, "constrained_by", pol["id"], provenance="config")
-            if not result.accepted:
-                raise ConfigError(f"policy {pol['id']!r}: {result.reason}")
+            kg.assert_triple(svc, "constrained_by", pol["id"], provenance="config")
     return Memories(
         buffer=ShortTermBuffer(config.params.buffer_capacity),
         episodic=EpisodicStore(),
@@ -312,17 +340,6 @@ def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
         runbooks=runbooks,
         blocked_policy_tags=config.blocked_policy_tags,
     )
-
-
-def _drain(feed: TelemetryFeed, scenario: FaultScenario | None, window: int) -> None:
-    """Pass any remaining fault activity, then flush the window clean. Only
-    the flush ticks can reach the feed's ring, so the ticks before them
-    are skipped, not stepped."""
-    sim = feed.sim
-    if scenario is not None and scenario.duration is not None and not sim.fault_cleared(scenario):
-        sim.skip_to(scenario.start_tick + scenario.duration)
-    for _ in range(window + 1):
-        feed.step()
 
 
 def _row_for(run: EpisodeRun, scenario: FaultScenario | None, rules_active: int) -> dict:
@@ -509,8 +526,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     feed = TelemetryFeed(sim, window_ticks=config.params.detect_window)
     loop = AgentLoop(feed, memories, config.params)
 
-    for _ in range(config.params.detect_window + 1):
-        feed.step()
+    feed.pass_to(config.params.detect_window + 1)
 
     rows: list[dict] = []
     runs: list[EpisodeRun] = []
@@ -526,7 +542,11 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         row = _row_for(episode_run, scenario, loop.active_rule_count())
         rows.append(row)
         records.append(_episode_record(episode_run, scenario))
-        _drain(feed, scenario, config.params.detect_window)
+        # Drain: pass the rest of an uncleared fault, then W + 1 ticks more.
+        end = sim.tick
+        if scenario is not None and scenario.duration is not None and not sim.fault_cleared(scenario):
+            end = max(end, scenario.start_tick + scenario.duration)
+        feed.pass_to(end + config.params.detect_window + 1)
 
     aggregates = compute_aggregates(rows)
     aggregates["rules_validated"] = loop.active_rule_count()

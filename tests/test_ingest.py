@@ -10,12 +10,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opsloop.cluster import ClusterSim, FaultScenario, RawEvent, TelemetrySample
+from opsloop.cluster import ClusterSim, FaultScenario, RawEvent, TelemetrySample, build_topology
 from opsloop.config import BASELINES, EWMA_ALPHA, FaultKind
 from opsloop.ingest import TelemetryFeed, UnifiedRecord, detect_anomalies, normalize
 
-from conftest import detect_records
+from conftest import detect_records, tiny_topology_spec
 
 
 def tele(tick: int, entity: str, metric: str, value: float) -> UnifiedRecord:
@@ -216,6 +217,44 @@ def test_feed_window_slides(tiny_topology):
     ticks = {rec.tick for rec in feed.window()}
     assert ticks == {2, 3, 4}
     assert {rec.tick for rec in latest(feed)} == {4}
+
+
+_PASS_TARGETS = {
+    FaultKind.DNS_ERROR_BURST: "svc-back", FaultKind.TOR_PACKET_LOSS: "sw1",
+    FaultKind.INGRESS_THROTTLE: "svc-front", FaultKind.NOISY_NEIGHBOR: "n1",
+    FaultKind.NODE_DECOMMISSION: "n2",
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    faults=st.lists(st.tuples(st.sampled_from(list(FaultKind)), st.integers(0, 30), st.integers(1, 8)),
+                    max_size=4),
+    start=st.integers(0, 12), target=st.integers(0, 40), window=st.integers(1, 8),
+)
+def test_passing_to_a_tick_leaves_the_ring_stepping_leaves(faults, start, target, window):
+    # Both feeds step `start` ticks, so the ring holds frames from before
+    # the pass; decommissions fall before, inside and after the skip.
+    topology = build_topology(tiny_topology_spec())
+    feeds = []
+    for _ in range(2):
+        sim = ClusterSim(topology, seed=4)
+        for kind, tick, duration in faults:
+            sim.inject(FaultScenario(kind, _PASS_TARGETS[kind], tick,
+                                     None if kind is FaultKind.NODE_DECOMMISSION else duration))
+        feed = TelemetryFeed(sim, window_ticks=window)
+        for _ in range(start):
+            feed.step()
+        feeds.append(feed)
+    passing, stepping = feeds
+    passing.pass_to(target)
+    while stepping.sim.tick < target:
+        stepping.step()
+    assert passing.sim.tick == stepping.sim.tick == max(start, target)
+    ring = [(b.frame, b.events) for b in passing.window().batches]
+    assert ring == [(b.frame, b.events) for b in stepping.window().batches]
+    for _ in range(10):
+        assert passing.step() == stepping.step()
 
 
 def test_feed_quiet_cluster_never_alerts(tiny_topology):

@@ -410,18 +410,24 @@ def test_a_wait_passes_over_only_ticks_no_window_can_fire_on(monkeypatch, detect
     # holds no frame to bound the ones to come, so such a wait steps every
     # tick; at the simulator's noise it jumps to the fault. Either way each
     # episode's transitions are those of stepping every tick.
-    def episodes(skip_quiet):
-        monkeypatch.setattr(TelemetryFeed, "skip_quiet", skip_quiet)
+    def episodes(quiet_until):
+        monkeypatch.setattr(TelemetryFeed, "quiet_until", quiet_until)
         sim, loop = make_loop([throttle_runbook()], noise_pct=detect_noise, max_wait_ticks=400)
         if fresh_feed:
             loop.feed = TelemetryFeed(sim, window_ticks=loop.params.detect_window)
         sim.inject(FaultScenario("noisy_neighbor", "n1", start_tick=300, duration=40, magnitude=0.8))
         return [[(t.tick, t.event) for t in loop.run_episode(f"ep-{i}").transitions] for i in (1, 2)]
 
-    passed = []
-    skip_quiet = TelemetryFeed.skip_quiet
-    jumping = episodes(lambda feed, ticks, noise: passed.append(skip_quiet(feed, ticks, noise)) or passed[-1])
-    stepping = episodes(lambda feed, ticks, noise: 0)
+    passed = []  # per call, the ticks passed beyond the one a step passes
+    quiet_until = TelemetryFeed.quiet_until
+
+    def recorded(feed, limit, noise):
+        tick = quiet_until(feed, limit, noise)
+        passed.append(tick - feed.sim.tick - 1)
+        return tick
+
+    jumping = episodes(recorded)
+    stepping = episodes(lambda feed, limit, noise: feed.sim.tick + 1)
     assert jumping == stepping
     assert (sum(passed) > 250) is jumps
     # Below the simulator's noise, quiet windows fired before the fault.

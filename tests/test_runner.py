@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opsloop import orchestrator, runner
+from opsloop import orchestrator
 from opsloop.cli import main
 from opsloop.cluster import ClusterSim
-from opsloop.config import SYMPTOM_VOCAB, ActionKind, FaultKind
+from opsloop.config import DETECT_WINDOW, SYMPTOM_VOCAB, ActionKind, FaultKind
 from opsloop.contextpack import TraceEntry
 from opsloop.ingest import TelemetryFeed
-from opsloop.orchestrator import legal_transition_triples
+from opsloop.orchestrator import AgentLoop, legal_transition_triples
 from opsloop.runner import (
     ConfigError,
     ScenarioTemplate,
@@ -322,7 +322,11 @@ def _set(path, value):
         (_set(["episodes"], 2.7), "episodes must be an int, got 2.7"),
         (_set(["episodes"], "6"), "episodes must be an int, got '6'"),
         (_set(["seed_runbooks", 0, "trigger"], "dns_error"),
-         r"seed_runbooks\[0\].trigger must be a list of strings, got 'dns_error'"),
+         r"seed_runbooks\[0\].trigger must be a list of names in \['auth_failure'.*, got 'dns_error'"),
+        # Loaded, and recurring_dns then resolved 0 of 20 episodes: no
+        # alert carries the symptom the runbook waits for.
+        (_set(["seed_runbooks", 0, "trigger"], ["dns_eror"]),
+         r"seed_runbooks\[0\].trigger must be a list of names in .*, got \['dns_eror'\]"),
         (_set(["seed_runbooks", 0, "steps"], "flush_dns_cache"),
          r"seed_runbooks\[0\].steps must be a list of names in \['drain_node'"),
         (_set(["seed_runbooks", 0, "steps"], ["reboot_everything"]),
@@ -336,6 +340,9 @@ def _set(path, value):
         (_set(["policies", 0, "applies_to"], ["svc-ghost"]),
          r"policy 'policy-change-freeze' applies_to must be a list of names in .*, got \['svc-ghost'\]"),
         (_set(["blocked_policy_tags"], "risky"), "blocked_policy_tags must be a list of strings"),
+        # Loaded, and the second policy was merged into the first in kg.tsv.
+        (lambda raw: raw["policies"].append({"id": raw["policies"][0]["id"], "applies_to": ["svc-dns"]}),
+         r"policies\[1\] duplicate id: 'policy-change-freeze' is already a Policy"),
         (_set(["policies", 0, "id"], "rack-2"),
          r"policies\[0\] duplicate id: 'rack-2' is already a Rack"),
         (_set(["policies", 0, "id"], "tor-2"),
@@ -369,11 +376,11 @@ def _set(path, value):
          "params.noise_pct must be a finite number > 0, got inf"),
     ],
     ids=["seed_str", "seed_float", "seed_bool", "seed_negative", "episodes_float", "episodes_str",
-         "trigger_str", "steps_str", "steps_unknown_action", "steps_empty", "runbook_id_twice",
-         "policy_tags_str", "policy_without_id", "policy_on_unknown_service",
-         "blocked_tags_str", "policy_id_rack", "policy_id_switch", "policy_id_node",
-         "policy_id_pod", "policy_id_service", "policy_id_fault_kind", "policy_id_action",
-         "policy_id_rule", "policy_id_aset", "noise_pct_zero", "noise_pct_negative",
+         "trigger_str", "trigger_unknown_symptom", "steps_str", "steps_unknown_action", "steps_empty",
+         "runbook_id_twice", "policy_tags_str", "policy_without_id", "policy_on_unknown_service",
+         "blocked_tags_str", "policy_id_twice", "policy_id_rack", "policy_id_switch",
+         "policy_id_node", "policy_id_pod", "policy_id_service", "policy_id_fault_kind",
+         "policy_id_action", "policy_id_rule", "policy_id_aset", "noise_pct_zero", "noise_pct_negative",
          "noise_pct_nan", "noise_pct_inf"],
 )
 def test_bad_top_level_values_runbooks_and_policies_are_config_errors(
@@ -425,6 +432,47 @@ def test_scenario_rows_are_checked_not_cast(dns_config_path, tmp_path, capsys, m
     # A float, string or bool duration, magnitude or lead once loaded cast
     # (12.7 as 12, true as 1); a string scenario or row, a list target and
     # a null duration crashed the load with a TypeError (exit 2).
+    raw = json.loads(dns_config_path.read_text())
+    raw["episodes"] = 2
+    mutation(raw)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("opsloop: config error: ")
+    assert re.search(message, err), err
+    assert not out_dir.exists()
+
+
+def _rename_key(path, old, new):
+    """A mutation that renames key `old` of raw[path[0]][path[1]]... to `new`."""
+    def mutate(raw):
+        for key in path:
+            raw = raw[key]
+        raw[new] = raw.pop(old)
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (_rename_key([], "episodes", "episode"), r"unknown config keys: \['episode'\]"),
+        (_rename_key(["seed_runbooks", 1], "policy_tags", "policy_tag"),
+         r"unknown seed_runbooks\[1\] keys: \['policy_tag'\]"),
+        (_rename_key(["policies", 0], "applies_to", "applies"), r"unknown policies\[0\] keys: \['applies'\]"),
+        (_rename_key(["topology"], "dependencies", "dependency"), r"unknown topology keys: \['dependency'\]"),
+        (_set(["topology", "racks", 1, "generation"], "gen-8"),
+         r"unknown topology.racks\[1\] keys: \['generation'\]"),
+        (_rename_key(["topology", "racks", 0, "nodes", 1], "generation", "gen"),
+         r"unknown topology.racks\[0\].nodes\[1\] keys: \['gen'\]"),
+        (_set(["topology", "racks", 2, "nodes", 0, "pods", 1, "replicas"], 2),
+         r"unknown topology.racks\[2\].nodes\[0\].pods\[1\] keys: \['replicas'\]"),
+    ],
+    ids=["config", "runbook", "policy", "topology", "rack", "node", "pod"],
+)
+def test_unknown_keys_are_config_errors(dns_config_path, tmp_path, capsys, mutation, message):
+    # Each once loaded as if the key were left out: a misspelt "episodes"
+    # ran 0 episodes, and the others dropped a policy's services, a
+    # runbook's tags, the call graph or a node's generation.
     raw = json.loads(dns_config_path.read_text())
     raw["episodes"] = 2
     mutation(raw)
@@ -661,15 +709,17 @@ def test_a_fault_far_ahead_is_skipped_to_not_stepped_to(dns_config_path, tmp_pat
     assert report.aggregates["escalated"] == 0
 
 
-def _stepping_drain(feed, scenario, window):
-    """`runner._drain` as it was: every tick to the fault's end is stepped."""
-    sim = feed.sim
-    if scenario is not None and scenario.duration is not None:
-        end = scenario.start_tick + scenario.duration
-        if not sim.fault_cleared(scenario):
-            while sim.tick < end:
-                feed.step()
-    for _ in range(window + 1):
+def _assert_same_files(a: Path, b: Path) -> None:
+    """The run directories `a` and `b` hold the same files, byte for byte."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _stepping_pass_to(feed, tick):
+    """`TelemetryFeed.pass_to` that steps every tick it passes."""
+    while feed.sim.tick < tick:
         feed.step()
 
 
@@ -682,34 +732,36 @@ def test_a_skipping_drain_writes_what_a_stepping_drain_writes(mixed_config_path,
     raw["episodes"] = 9
     raw["scenario"][1]["duration"] = 200
     raw["scenario"][4]["lead"] = 150
-    spans = []  # the skips the drain makes; the idle wait skips too
-    skip_to, drain = ClusterSim.skip_to, runner._drain
+    drains = []  # the skips made between episodes; priming and the idle wait skip too
+    skip_to, run_episode = ClusterSim.skip_to, AgentLoop.run_episode
     draining = False
 
     def recorded(sim, tick):
         if draining:
-            spans.append((sim.tick, tick))
+            drains.append((sim.tick, tick))
         skip_to(sim, tick)
 
-    def recorded_drain(feed, scenario, window):
+    def recorded_episode(loop, episode_id):
         nonlocal draining
-        draining = True
-        drain(feed, scenario, window)
         draining = False
+        episode = run_episode(loop, episode_id)
+        draining = True
+        return episode
 
     monkeypatch.setattr(ClusterSim, "skip_to", recorded)
-    monkeypatch.setattr(runner, "_drain", recorded_drain)
+    monkeypatch.setattr(AgentLoop, "run_episode", recorded_episode)
     report = run(config_from_dict(raw), tmp_path / "skip")
-    monkeypatch.setattr(runner, "_drain", _stepping_drain)
+    monkeypatch.setattr(TelemetryFeed, "pass_to", _stepping_pass_to)
     run(config_from_dict(raw), tmp_path / "step")
     assert [r["resolved"] for r in report.rows] == [True, False, True, True, False, True, False, True, True]
     gone = json.loads((tmp_path / "skip" / "episodes.jsonl").read_text().splitlines()[5])["scenario"]
     assert gone["kind"] == "node_decommission"
+    # Every drain skips the first of its flush ticks, which no window
+    # reads; the two after an escalated ToR episode skip its fault too.
+    spans = [(start, end) for start, end in drains if end - start > 1]
+    assert len(drains) == 9 and all(end - start == 1 for start, end in set(drains) - set(spans))
     assert len(spans) == 2 and spans[1][0] <= gone["start_tick"] < spans[1][1]
-    names = sorted(p.name for p in (tmp_path / "skip").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "step").iterdir())
-    for name in names:
-        assert (tmp_path / "skip" / name).read_bytes() == (tmp_path / "step" / name).read_bytes(), name
+    _assert_same_files(tmp_path / "skip", tmp_path / "step")
 
 
 @pytest.mark.parametrize("wait, path", [(10**9, "no_incident"), (2 * 10**9, "propagation")])
@@ -760,22 +812,89 @@ def test_a_jumping_wait_writes_what_a_stepping_wait_writes(tmp_path, monkeypatch
             windows[side].append([b.frame.tick for b in batches])
         return detect(window, **kwargs)
 
-    passed = []
-    skip_quiet = TelemetryFeed.skip_quiet
+    passed = []  # per call, the ticks passed beyond the one a step passes
+    quiet_until = TelemetryFeed.quiet_until
+
+    def recorded(feed, limit, noise):
+        tick = quiet_until(feed, limit, noise)
+        passed.append(tick - feed.sim.tick - 1)
+        return tick
+
     monkeypatch.setattr(orchestrator, "detect_anomalies", watched)
-    monkeypatch.setattr(TelemetryFeed, "skip_quiet",
-                        lambda feed, ticks, noise: passed.append(skip_quiet(feed, ticks, noise)) or passed[-1])
+    monkeypatch.setattr(TelemetryFeed, "quiet_until", recorded)
     report = run(config_from_dict(raw), tmp_path / "jump")
     side = "step"
-    monkeypatch.setattr(TelemetryFeed, "skip_quiet", lambda feed, ticks, noise: 0)
+    monkeypatch.setattr(TelemetryFeed, "quiet_until", lambda feed, limit, noise: feed.sim.tick + 1)
     run(config_from_dict(raw), tmp_path / "step")
     assert sum(passed) > 50 * len(leads)  # most of the lead is jumped
     assert {r["path"] for r in report.rows} > {"no_incident"}
     assert windows["jump"] == windows["step"]
-    names = sorted(p.name for p in (tmp_path / "jump").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "step").iterdir())
-    for name in names:
-        assert (tmp_path / "jump" / name).read_bytes() == (tmp_path / "step" / name).read_bytes(), name
+    _assert_same_files(tmp_path / "jump", tmp_path / "step")
+
+
+_TINY_TARGETS = {
+    FaultKind.DNS_ERROR_BURST: ("svc-front", "svc-back"),
+    FaultKind.TOR_PACKET_LOSS: ("sw1",),
+    FaultKind.INGRESS_THROTTLE: ("svc-front", "svc-back"),
+    FaultKind.NOISY_NEIGHBOR: ("n1", "n2"),
+    FaultKind.NODE_DECOMMISSION: ("n1", "n2"),
+}
+
+
+def _tiny_faults(leads):
+    return st.builds(
+        lambda kind, pick, lead, duration, magnitude: {
+            "kind": kind.value, "target": _TINY_TARGETS[kind][pick % len(_TINY_TARGETS[kind])],
+            "lead": lead, "duration": duration, "magnitude": magnitude,
+        },
+        st.sampled_from(list(FaultKind)), st.integers(0, 1), leads,
+        st.integers(1, 120), st.floats(0.05, 1.0),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), max_wait_ticks=st.integers(0, 150))
+def test_passing_ticks_writes_what_stepping_them_writes(data, max_wait_ticks):
+    # One episode per fault, dropping a fault on a node an earlier one
+    # decommissioned. A lead past the wait times its episode out idle and
+    # lands its fault in the next episode's wait or in a drain; leads just
+    # past the wait land it in the drain's last window of ticks, which the
+    # next wait starts from. The reference steps every tick and scores
+    # every window of the idle wait; every window that holds more than
+    # quiet frames is the same in both runs, down to its ticks.
+    near = st.integers(max(1, max_wait_ticks - 2), max_wait_ticks + 2 * DETECT_WINDOW)
+    faults = data.draw(st.lists(_tiny_faults(st.integers(1, 300) | near), min_size=1, max_size=5))
+    removed, scenario = set(), []
+    for row in faults:
+        if row["target"] not in removed:
+            scenario.append(row)
+            if row["kind"] == FaultKind.NODE_DECOMMISSION.value:
+                removed.add(row["target"])
+    raw = tiny_run_dict(episodes=len(scenario), scenario=scenario)
+    raw["seed_runbooks"] += [
+        {"id": "rb-flush-dns", "trigger": ["dns_error"], "steps": ["flush_dns_cache"]},
+        {"id": "rb-reroute", "trigger": ["packet_loss_high"], "steps": ["reroute_service"]},
+        {"id": "rb-scale-out", "trigger": ["latency_high"], "steps": ["scale_replicas"]},
+        {"id": "rb-drain-node", "trigger": ["node_decommissioned"], "steps": ["drain_node"]},
+    ]
+    raw["params"]["max_wait_ticks"] = max_wait_ticks
+    detect = orchestrator.detect_anomalies
+    windows: dict[str, list] = {"pass": [], "step": []}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for side in ("pass", "step"):
+            def watched(window, side=side, **kwargs):
+                batches = window.batches
+                if any(b.frame.envelope is None or b.events for b in batches):
+                    windows[side].append([b.frame.tick for b in batches])
+                return detect(window, **kwargs)
+
+            mp.setattr(orchestrator, "detect_anomalies", watched)
+            if side == "step":
+                mp.setattr(TelemetryFeed, "pass_to", _stepping_pass_to)
+                mp.setattr(TelemetryFeed, "quiet_until", lambda feed, limit, noise: feed.sim.tick + 1)
+            run(config_from_dict(raw), Path(tmp) / side)
+        assert windows["pass"] == windows["step"]
+        _assert_same_files(Path(tmp) / "pass", Path(tmp) / "step")
 
 
 def test_frames_nobody_reads_are_never_drawn(dns_config_path, tmp_path, monkeypatch):
