@@ -10,6 +10,14 @@ one. The stop-at-first-overflow rule gives the prefix property: shrinking
 the budget can only truncate the pack, never reshuffle it. Every
 candidate's fate lands in the assembly trace; only a packed candidate
 becomes a `PackItem`.
+
+The knowledge subgraph is the one large section, and the same triples
+rank in episode after episode. A triple's candidate, with its key and its
+three possible trace entries, is made the first time the run's graph
+ranks it and kept in the graph's `assembly_cache`, so equal entries are one
+object. Once a section is full or packing has stopped, every remaining
+candidate gets the same reason, and the trace takes their entries without
+a check each.
 """
 from __future__ import annotations
 
@@ -75,6 +83,24 @@ class TraceEntry(NamedTuple):
     reason: str
 
 
+# A candidate's fate in the pack, indexing `_REASONS`.
+_INCLUDED, _CAPPED, _EXHAUSTED = range(3)
+_REASONS = ("included", "section cap", "pack budget exhausted")
+
+
+def _entry(section: str, key: str, cost: int, fate: int) -> TraceEntry:
+    return TraceEntry(section, key, cost, fate == _INCLUDED, _REASONS[fate])
+
+
+def _kg_candidate(cache: dict[int, tuple], t) -> tuple:
+    """The `kg_subgraph` candidate of triple `t`, with all three of its trace
+    entries, made on the graph's first ranking of `t` and kept in `cache`."""
+    key = f"kg_subgraph:{t.subject}|{t.predicate}|{t.object}"
+    fates = tuple(_entry("kg_subgraph", key, 1, fate) for fate in range(3))
+    cache[id(t)] = cand = (key, t, 1, 1, fates)
+    return cand
+
+
 @dataclass
 class BudgetPolicy:
     pack_budget: int = PACK_BUDGET
@@ -126,64 +152,74 @@ def assemble(
     total = 0
     stopped = False
 
-    def pack(section: str, candidates: list[tuple[str, Any, int, int]]) -> None:
-        """Pack one section's (key, payload, priority, cost) candidates, in rank order."""
+    def pack(section: str, candidates: list[tuple[str, Any, int, int, tuple | None]]) -> None:
+        """Pack one section's candidates, in rank order. A candidate is (key,
+        payload, priority, cost, fates): `fates` holds its trace entries made
+        once per run, indexed by fate, or is None to make the entry here."""
         nonlocal total, stopped
         cap = policy.effective_cap(section)
         packed: list[PackItem] = []
         used = 0
-        for key, payload, priority, cost in candidates:
+        rest = iter(candidates)
+        for key, payload, priority, cost, fates in rest:
             if stopped:
-                reason = "pack budget exhausted"
+                fate = _EXHAUSTED
             elif used + cost > cap:
-                reason = "section cap"
+                fate = _CAPPED
             elif total + cost > budget:
                 if section == "task":
                     raise PackBudgetError(f"task section needs {cost} units, budget is {budget}")
                 stopped = True
-                reason = "pack budget exhausted"
+                fate = _EXHAUSTED
             else:
                 packed.append(PackItem(section, key, payload, priority, cost))
                 used += cost
                 total += cost
-                trace.append(TraceEntry(section, key, cost, True, "included"))
-                continue
-            trace.append(TraceEntry(section, key, cost, False, reason))
+                fate = _INCLUDED
+            trace.append(fates[fate] if fates else _entry(section, key, cost, fate))
+            if stopped or used == cap:
+                # Every candidate costs at least 1, so once packing has
+                # stopped or the section is full, no later candidate fits:
+                # they all get the same entry reason.
+                fate = _EXHAUSTED if stopped else _CAPPED
+                trace.extend(f[fate] if f else _entry(section, k, c, fate)
+                             for k, _, _, c, f in rest)
+                break
         if packed:
             items[section] = packed
 
     symptoms = query.symptom_attributes
-    pack("task", [(f"task:{query.incident_id}", query, 3, 1)])
+    pack("task", [(f"task:{query.incident_id}", query, 3, 1, None)])
 
     policies = memories.kg.query(None, "constrained_by", None)
     pack("policies", [
-        (f"policies:{t.subject}|{t.predicate}|{t.object}", t, 2, 1) for t in policies
+        (f"policies:{t.subject}|{t.predicate}|{t.object}", t, 2, 1, None) for t in policies
     ])
 
     stitems = memories.buffer.snapshot(incident=query.incident_id)
     pack("short_term", [
-        (f"short_term:{it.seq}", it, it.priority, 1)
+        (f"short_term:{it.seq}", it, it.priority, 1, None)
         for it in sorted(stitems, key=lambda b: (-b.priority, b.seq))
     ])
 
     query_vec = embed_features(symptoms, 0, query.max_severity)
     pack("episodic", [
-        (f"episodic:{episode.episode_id}", (episode, similarity), 1, 1 + len(episode.actions))
+        (f"episodic:{episode.episode_id}", (episode, similarity), 1, 1 + len(episode.actions),
+         None)
         for episode, similarity in memories.episodic.search(query_vec, episodic_k)
     ])
 
     center = query.affected_entity or query.affected_service
     triples = memories.kg.subgraph(center, subgraph_radius)
-    pack("kg_subgraph", [
-        (f"kg_subgraph:{t.subject}|{t.predicate}|{t.object}", t, 1, 1) for t in triples
-    ])
+    cache = memories.kg.assembly_cache
+    pack("kg_subgraph", [cache.get(id(t)) or _kg_candidate(cache, t) for t in triples])
 
     rules = [r for r in validated_rules(memories.kg) if r.antecedent & symptoms]
     rules.sort(key=lambda r: (-r.confidence, r.rule_id))
-    pack("rules", [(f"rules:{r.rule_id}", r, 2, 1) for r in rules])
+    pack("rules", [(f"rules:{r.rule_id}", r, 2, 1, None) for r in rules])
 
     pack("runbooks", [
-        (f"runbooks:{rb.runbook_id}", rb, 1, 1)
+        (f"runbooks:{rb.runbook_id}", rb, 1, 1, None)
         for rb in memories.runbooks.suggest(symptoms, memories.blocked_policy_tags)
     ])
     touched = (len(policies) + len(stitems) + memories.episodic.live_count() + len(triples)

@@ -5,9 +5,18 @@ classes) before being stored; rejected triples never enter the graph, so
 the store is sound by construction and `validate_all` re-proves it on
 demand. Triples are append-only, so one incidence index (entity -> the
 triples that touch it), filled on assert, is never invalidated; queries
-with a bound subject or object and subgraph extraction read it instead of
-scanning the graph. Subgraph extraction treats triples as undirected
-edges. `bfs` is the one breadth-first search the package uses.
+with a bound subject or object read it instead of scanning the graph.
+
+Subgraph extraction and predicate-only queries read a rank view instead:
+arrays over the triples in append order holding each one's subject and
+object vertex ids, its predicate id and its rank in (subject, predicate,
+object) order. The first read that needs the view builds it, and a read
+after later asserts extends it, so asserting costs nothing more. The view
+reads triples as undirected edges between entity vertices. A literal is
+never a vertex: a triple whose relation's range is `LITERAL` touches its
+subject alone, so two nodes decommissioned at the same tick are not
+joined. `bfs` is the breadth-first search the rest of the package uses on
+its own graphs.
 
 `INFRA_CHAIN` is the one declared walk up the fleet's hardware, pod to
 node to rack to switch; fault localisation and the alert-to-service
@@ -15,8 +24,12 @@ mapping both follow it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from ..config import CLOSED_IDS
 
@@ -120,6 +133,59 @@ class AssertResult:
 _ADDED = AssertResult(accepted=True, added=True)
 
 
+def _ids(table: dict[str, int], names: list[str]) -> np.ndarray:
+    """Each name's id in `table`, which numbers the names it lacks in order
+    of first appearance."""
+    fresh = [n for n in dict.fromkeys(names) if n not in table]
+    table.update(zip(fresh, range(len(table), len(table) + len(fresh))))
+    return np.fromiter(map(table.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+class _RankView:
+    """Arrays over a graph's triples in append order: the triple itself, its
+    subject and object vertex ids, its predicate id and its rank among the
+    triple keys. A literal triple's object vertex is its subject's."""
+
+    def __init__(self):
+        self.triples = np.empty(0, dtype=object)
+        self.subject = np.empty(0, dtype=np.int64)
+        self.object = np.empty(0, dtype=np.int64)
+        self.predicate = np.empty(0, dtype=np.int64)
+        self.rank = np.empty(0, dtype=np.int64)
+        self.keys: list[tuple[str, str, str]] = []  # every triple key, sorted
+        self.vertex: dict[str, int] = {}
+        self.predicate_id: dict[str, int] = {}
+
+    def extend(self, keys: list[tuple[str, str, str]], new: list[Triple],
+               relations: dict[str, tuple[str, str]]) -> None:
+        """Append triples, with their keys, that the view does not hold yet.
+        Each new key goes into the sorted keys where `bisect` puts it, and
+        every rank at or above that place shifts up by one."""
+        literal = {p for p, (_, rng) in relations.items() if rng == LITERAL}
+        ends = [s for s, _, _ in keys] + [s if p in literal else o for s, p, o in keys]
+        ids = _ids(self.vertex, ends)
+        self.subject = np.concatenate((self.subject, ids[:len(keys)]))
+        self.object = np.concatenate((self.object, ids[len(keys):]))
+        self.predicate = np.concatenate(
+            (self.predicate, _ids(self.predicate_id, [p for _, p, _ in keys])))
+        # A new key's place among the old keys; in sorted order, the j-th new
+        # key also has j new keys below it.
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        places = np.array([bisect_left(self.keys, keys[j]) for j in by_key], dtype=np.int64)
+        new_rank = np.empty(len(keys), dtype=np.int64)
+        new_rank[by_key] = places + np.arange(len(keys))
+        self.rank = np.concatenate(
+            (self.rank + np.searchsorted(places, self.rank, side="right"), new_rank))
+        self.keys.extend(keys[j] for j in by_key)
+        self.keys.sort()  # two sorted runs: one merge
+        self.triples = np.concatenate((self.triples, np.fromiter(new, dtype=object, count=len(new))))
+
+    def ranked(self, hits: np.ndarray, depth: np.ndarray | int = 0) -> list[Triple]:
+        """The triples at positions `hits`, ordered by (depth, key)."""
+        order = np.argsort(depth * len(self.rank) + self.rank[hits])
+        return self.triples[hits[order]].tolist()
+
+
 @dataclass
 class KnowledgeGraph:
     ontology: Ontology
@@ -127,6 +193,12 @@ class KnowledgeGraph:
     _triples: dict[tuple[str, str, str], Triple] = field(default_factory=dict)
     _incident: dict[str, list[Triple]] = field(default_factory=dict)
     rules: dict = field(default_factory=dict)  # rule_id -> lattice.Rule
+    _view: _RankView = field(default_factory=_RankView, init=False, repr=False, compare=False)
+    # What the context assembler derives from each triple, keyed by
+    # id(triple). A triple is never removed, so its id names it for as long
+    # as the graph, and this cache, live.
+    assembly_cache: dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- entities -------------------------------------------------------------
 
@@ -191,18 +263,28 @@ class KnowledgeGraph:
         if subject is None and predicate is None and obj is None:
             raise ValueError("query needs at least one bound position")
         if subject is None and obj is None:
-            pool = self._triples.values()
-        else:
-            pool = self._incident.get(subject if subject is not None else obj, ())
+            view = self._rank_view()
+            p = view.predicate_id.get(predicate)
+            if p is None:
+                return []
+            return view.ranked(np.flatnonzero(view.predicate == p))
         out = [
             t
-            for t in pool
+            for t in self._incident.get(subject if subject is not None else obj, ())
             if (subject is None or t.subject == subject)
             and (predicate is None or t.predicate == predicate)
             and (obj is None or t.object == obj)
         ]
         out.sort(key=lambda t: t.key())
         return out
+
+    def _rank_view(self) -> _RankView:
+        view = self._view
+        if len(view.rank) < len(self._triples):
+            m = len(view.rank)
+            view.extend(list(islice(self._triples, m, None)),
+                         list(islice(self._triples.values(), m, None)), self.ontology.relations)
+        return view
 
     def subgraph(self, entity: str, radius: int) -> list[Triple]:
         """Triples incident to any entity within max(radius-1, 0) hops,
@@ -211,32 +293,32 @@ class KnowledgeGraph:
         Hops count graph distance over triples read as undirected edges, so
         radius 0 returns exactly the triples touching `entity` and growing
         the radius admits the incident triples of each newly interior hop.
-        A triple ranks at the hop distance of the vertex `bfs` first meets it
-        from, which is its nearer endpoint (ties on the triple key), so a
-        consumer that truncates the list keeps the neighborhood closest to
-        the center.
+        A literal is not a vertex, so a literal `entity` has no subgraph. A
+        triple ranks at the hop distance of its nearer endpoint, ties on the
+        triple key, so a consumer that truncates the list keeps the
+        neighborhood closest to the center.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        incident = self._incident
-        if entity not in incident:
+        view = self._rank_view()
+        center = view.vertex.get(entity)
+        if center is None:
             return []
-        dist = bfs(
-            entity,
-            lambda v: (t.object if t.subject == v else t.subject for t in incident[v]),
-            max(radius - 1, 0),
-        )
-        # Each triple is one object in both of its endpoints' lists, and no
-        # two share a key, so a rank tuple never compares the triples.
-        met: set[int] = set()
-        ranked = []
-        for v, depth in dist.items():
-            for t in incident[v]:
-                if id(t) not in met:
-                    met.add(id(t))
-                    ranked.append((depth, t.subject, t.predicate, t.object, t))
-        ranked.sort()
-        return [r[-1] for r in ranked]
+        subj, obj = view.subject, view.object
+        # No vertex is more than len(vertex) - 1 hops away.
+        far = min(max(radius - 1, 0), len(view.vertex)) + 1
+        dist = np.full(len(view.vertex), far, dtype=np.int64)
+        dist[center] = 0
+        for depth in range(1, far):
+            frontier = dist == depth - 1
+            met = np.concatenate((obj[frontier[subj]], subj[frontier[obj]]))
+            met = met[dist[met] == far]
+            if not met.size:
+                break
+            dist[met] = depth
+        near = np.minimum(dist[subj], dist[obj])
+        hits = np.flatnonzero(near < far)
+        return view.ranked(hits, near[hits])
 
     # -- decommissioning -------------------------------------------------------
 

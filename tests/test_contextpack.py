@@ -33,7 +33,7 @@ from opsloop.memory import (
     default_ontology,
     embed_features,
 )
-from opsloop.memory.knowledge import bfs
+from opsloop.memory.knowledge import LITERAL, bfs
 
 
 def _episode(eid, symptoms, end, actions=(), start=0):
@@ -253,24 +253,28 @@ def test_update_weights_feedback_and_clamps():
 
 def _reference_subgraph(kg: KnowledgeGraph, entity: str, radius: int) -> list:
     """`KnowledgeGraph.subgraph` ranked by a key per triple: the smaller hop
-    distance of its two endpoints, then the triple key."""
-    incident = kg._incident
-    if entity not in incident:
+    distance of its two endpoints, then the triple key. A literal is not a
+    vertex: a literal triple touches its subject alone."""
+    relations = kg.ontology.relations
+
+    def ends(t):
+        return t.subject, t.subject if relations[t.predicate][1] == LITERAL else t.object
+
+    def touching(v):
+        return [(t, ends(t)) for t in kg._incident.get(v, ()) if v in ends(t)]
+
+    if not touching(entity):
         return []
     limit = max(radius - 1, 0)
-    dist = bfs(
-        entity,
-        lambda v: (t.object if t.subject == v else t.subject for t in incident[v]),
-        limit,
-    )
+    dist = bfs(entity, lambda v: (b if a == v else a for _, (a, b) in touching(v)), limit)
     seen = {}
     for v in dist:
-        for t in incident[v]:
+        for t, _ in touching(v):
             seen[t.key()] = t
     far = limit + 1
 
     def rank(t):
-        return (min(dist.get(t.subject, far), dist.get(t.object, far)), t.key())
+        return (min(dist.get(v, far) for v in ends(t)), t.key())
 
     return sorted(seen.values(), key=rank)
 
@@ -525,3 +529,69 @@ def test_one_pass_assembly_equals_the_gather_sort_pack_reference(
             assert pack.total_cost == expected.total_cost
             assert pack.memory_touched == expected.memory_touched
             assert pack.budget == expected.budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes(), st.data())
+def test_a_chain_of_packs_on_growing_memories_equals_the_reference(scene, data):
+    """Packs on one set of memories that grows between them: each trace
+    equals the reference packer's, kg_subgraph tails end both ways, and
+    equal kg_subgraph entries of any two packs are one object."""
+    query, memories = scene
+    kg = memories.kg
+    nodes = sorted({t.subject for t in kg.query(None, "member_of", None)})
+    services = sorted({t.object for t in kg.query(None, "serves", None)})
+    # Two exact matches for the query, so they rank first: the more recent
+    # costs 4, more than the episodic cap of 2 on the first pack, and the
+    # next one still fits.
+    for eid, tick, n_actions in (("ep-big", 1000, 3), ("ep-small", 999, 0)):
+        memories.episodic.insert(Episode(
+            episode_id=eid, start_tick=tick, end_tick=tick,
+            affected_service=services[0], symptom_attributes=query.symptom_attributes,
+            entities=frozenset({nodes[0]}), max_severity=query.max_severity,
+            root_cause_label="cause_noisy_neighbor",
+            actions=(("throttle_tenant", nodes[0], True),) * n_actions,
+            resolved=True, ticks_to_resolve=0, feature_vector=None,
+        ))
+    first: dict[TraceEntry, TraceEntry] = {}
+    for step in range(data.draw(st.integers(1, 4))):
+        if step:
+            for i in range(data.draw(st.integers(0, 3))):
+                pod = f"pod-g{step}-{i}"
+                kg.register_entity(pod, "Pod")
+                kg.assert_triple(pod, "runs_on", data.draw(st.sampled_from(nodes)))
+                kg.assert_triple(pod, "serves", data.draw(st.sampled_from(services)))
+            if data.draw(st.booleans()):
+                kg.assert_triple(data.draw(st.sampled_from(nodes)), "decommissioned",
+                                 data.draw(st.sampled_from(["7", "true", nodes[0]])))
+            memories.buffer.push(f"alert g{step}", priority=data.draw(_SEVERITIES),
+                                 incident="inc-1")
+            query = dataclasses.replace(query, affected_entity=data.draw(st.sampled_from(
+                [query.affected_entity, nodes[0], nodes[-1], f"pod-g{step}-0"])))
+        policy = data.draw(policies())
+        if step == 0:
+            policy.section_caps["episodic"], policy.weights["episodic"] = 2, 1.0
+        kwargs = {"episodic_k": data.draw(st.integers(2, 8)),
+                  "subgraph_radius": data.draw(st.integers(0, 4))}
+        full = _reference_assemble(
+            query, memories, dataclasses.replace(policy, pack_budget=10**6), **kwargs)
+        before_kg = sum(e.cost for e in full.trace if e.included and e.section in
+                        SECTION_ORDER[:SECTION_ORDER.index("kg_subgraph")])
+        kg_included = sum(e.included for e in full.trace if e.section == "kg_subgraph")
+        # Unbounded; running out inside kg_subgraph; anywhere.
+        budgets = [10**6, before_kg + data.draw(st.integers(0, max(kg_included - 1, 0))),
+                   data.draw(st.integers(1, full.total_cost + 1))]
+        for n, budget in enumerate(budgets):
+            budgeted = dataclasses.replace(policy, pack_budget=budget)
+            pack = assemble(query, memories, budgeted, **kwargs)
+            assert pack.trace == _reference_assemble(query, memories, budgeted, **kwargs).trace
+            kg_trace = [e for e in pack.trace if e.section == "kg_subgraph"]
+            for entry in kg_trace:
+                assert first.setdefault(entry, entry) is entry
+            if n == 0 and len(kg_trace) > kg_included:
+                assert kg_trace[-1].reason == "section cap"
+            if n == 1 and kg_included:
+                assert kg_trace[-1].reason == "pack budget exhausted"
+            if step == 0 and n == 0:
+                assert [(e.key, e.reason) for e in pack.trace if e.section == "episodic"][:2] == [
+                    ("episodic:ep-big", "section cap"), ("episodic:ep-small", "included")]

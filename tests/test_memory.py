@@ -378,6 +378,32 @@ def test_subgraph_radius_semantics_and_order():
     assert [t.predicate for t in kg.subgraph("r1", 2)] == ["member_of", "uplink", "runs_on"]
 
 
+def test_a_literal_is_not_a_vertex():
+    # Two nodes in different racks decommissioned at the same tick, and a
+    # service whose id is that tick: the literal joins none of them.
+    kg = fresh_kg()
+    for entity, cls in [("n2", "Node"), ("r2", "Rack"), ("394", "Service")]:
+        kg.register_entity(entity, cls)
+    kg.assert_triple("n1", "member_of", "r1")
+    kg.assert_triple("n2", "member_of", "r2")
+    kg.assert_triple("p1", "serves", "394")
+    kg.assert_triple("n1", "decommissioned", "394")
+    kg.assert_triple("n2", "decommissioned", "394")
+    kg.assert_triple("n2", "decommissioned", "395")
+    for radius in range(6):
+        assert kg.subgraph("395", radius) == []
+    assert [t.key() for t in kg.subgraph("n1", 3)] == [
+        ("n1", "decommissioned", "394"), ("n1", "member_of", "r1"),
+    ]
+    assert [t.key() for t in kg.subgraph("394", 3)] == [("p1", "serves", "394")]
+    # A query by a literal object still finds the triples that name it.
+    assert [t.key() for t in kg.query(None, None, "394")] == [
+        ("n1", "decommissioned", "394"), ("n2", "decommissioned", "394"),
+        ("p1", "serves", "394"),
+    ]
+    assert kg.decommissioned_entities() == frozenset({"n1", "n2"})
+
+
 def test_export_tsv_shape():
     kg = fresh_kg()
     kg.assert_triple("p1", "runs_on", "n1", provenance="bootstrap")
@@ -442,13 +468,15 @@ def triple_scripts(draw):
     return script + repeats
 
 
-def _asserted(script) -> tuple[KnowledgeGraph, dict[tuple[str, str, str], Triple]]:
-    """The graph after `script`, and the triples it must hold (first assert wins)."""
+def _asserting(script):
+    """Yield the graph and the triples it must hold (first assert wins)
+    before `script` and after each of its asserts."""
     kg = KnowledgeGraph(ontology=default_ontology())
     classes = {e: cls for cls, pool in _POOL.items() for e in pool}
     for e, cls in classes.items():
         kg.register_entity(e, cls)
     kept: dict[tuple[str, str, str], Triple] = {}
+    yield kg, kept
     for i, (s, p, o) in enumerate(script):
         sig = _RELATIONS.get(p)
         ok = (
@@ -459,7 +487,20 @@ def _asserted(script) -> tuple[KnowledgeGraph, dict[tuple[str, str, str], Triple
         assert (result.accepted, result.added) == (ok, ok and (s, p, o) not in kept)
         if result.added:
             kept[(s, p, o)] = Triple(s, p, o, f"a{i}", i)
+        yield kg, kept
+
+
+def _asserted(script) -> tuple[KnowledgeGraph, dict[tuple[str, str, str], Triple]]:
+    """The graph after `script`, and the triples it must hold."""
+    for kg, kept in _asserting(script):
+        pass
     return kg, kept
+
+
+def _ends(t: Triple) -> tuple[str, str]:
+    """The vertices a triple joins: a literal is not a vertex, so a literal
+    triple touches its subject alone."""
+    return t.subject, t.subject if _RELATIONS[t.predicate][1] == LITERAL else t.object
 
 
 def _rebuild_subgraph(triples, entity: str, radius: int) -> list[Triple]:
@@ -468,10 +509,11 @@ def _rebuild_subgraph(triples, entity: str, radius: int) -> list[Triple]:
     adjacency: dict[str, set[str]] = {}
     incident: dict[str, list[Triple]] = {}
     for t in triples:
-        adjacency.setdefault(t.subject, set()).add(t.object)
-        adjacency.setdefault(t.object, set()).add(t.subject)
-        incident.setdefault(t.subject, []).append(t)
-        incident.setdefault(t.object, []).append(t)
+        subject, obj = _ends(t)
+        adjacency.setdefault(subject, set()).add(obj)
+        adjacency.setdefault(obj, set()).add(subject)
+        incident.setdefault(subject, []).append(t)
+        incident.setdefault(obj, []).append(t)
     if entity not in adjacency:
         return []
     limit = max(radius - 1, 0)
@@ -491,7 +533,7 @@ def _rebuild_subgraph(triples, entity: str, radius: int) -> list[Triple]:
             seen[t.key()] = t
     far = limit + 1
     return sorted(seen.values(), key=lambda t: (
-        min(dist.get(t.subject, far), dist.get(t.object, far)), t.key()))
+        min(dist.get(v, far) for v in _ends(t)), t.key()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,6 +572,22 @@ def test_indexed_subgraph_equals_the_rebuilding_reference(script):
         for radius in range(5):
             assert kg.subgraph(entity, radius) == _rebuild_subgraph(
                 kept.values(), entity, radius), (entity, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_scripts(), st.data())
+def test_reads_between_asserts_equal_the_references(script, data):
+    """The first read builds the graph's rank view and a read after later
+    asserts extends it: every read between asserts equals the references."""
+    names = _ENTITIES + _LITERALS + ["ghost"]
+    predicates = sorted(_RELATIONS) + ["ghost"]
+    reads = st.tuples(st.sampled_from(names), st.integers(0, 5), st.sampled_from(predicates))
+    for kg, kept in _asserting(script):
+        for entity, radius, predicate in data.draw(st.lists(reads, max_size=2)):
+            assert kg.subgraph(entity, radius) == _rebuild_subgraph(
+                kept.values(), entity, radius), (entity, radius)
+            assert kg.query(None, predicate, None) == sorted(
+                (t for t in kept.values() if t.predicate == predicate), key=Triple.key)
 
 
 def _reference_callers(edges, service: str) -> set[str]:
