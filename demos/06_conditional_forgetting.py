@@ -10,6 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from opsloop.artifacts import read_run
 from opsloop.runner import load_config, run
 
 CONFIG = (Path(__file__).resolve().parent.parent / "configs"
@@ -37,8 +38,7 @@ def main() -> None:
             print(f"{row['episode_id']:<9} {row['fault_kind']:<22} "
                   f"{row['path']:<14} {row['rules_active']:>10}")
 
-        records = [json.loads(line) for line in
-                   (out / "episodes.jsonl").read_text().splitlines()[1:]]
+        records = read_run(out / "episodes.jsonl")
         banner("what happened at each turn")
         print("ep-0001..5: noisy neighbor on node-3, diagnosed by graph walk;")
         print("            the learning pass after ep-0005 distills the rule")

@@ -6,6 +6,7 @@ tiered memories (short-term buffer, episodic vector store, knowledge graph,
 runbooks), root-cause diagnosis, remediation, and a concept-lattice learning
 pass that distills episodes into validated, forgettable rules.
 """
+from .artifacts import compute_aggregates, replay
 from .cluster import ClusterSim, ClusterTopology, FaultScenario, build_topology
 from .config import ActionKind, FaultKind
 from .contextpack import BudgetPolicy, ContextPack, IncidentDescriptor, assemble
@@ -24,7 +25,7 @@ from .memory import (
 )
 from .orchestrator import AgentLoop, Event, LoopParams, Phase, transition
 from .reasoner import diagnose, make_plan
-from .runner import RunConfig, compute_aggregates, load_config, replay, run
+from .runner import RunConfig, load_config, run
 
 __version__ = "0.1.0"
 

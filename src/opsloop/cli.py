@@ -9,9 +9,22 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+import tempfile
+from pathlib import Path
 
-from .runner import ConfigError, export_kg, load_config, replay, run
+from .artifacts import replay
+from .config import ConfigError
+from .runner import RunConfig, load_config, run
+
+
+def export_kg(config: RunConfig, out_path: str | Path) -> Path:
+    """Re-run the config deterministically and write only the final graph."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run(config, tmp)
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        return Path(shutil.copyfile(Path(tmp) / "kg.tsv", out_path))
 
 
 class _Parser(argparse.ArgumentParser):

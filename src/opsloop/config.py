@@ -13,6 +13,10 @@ import math
 from enum import Enum
 
 
+class ConfigError(Exception):
+    """Input the program cannot take: a run config, or a file read back."""
+
+
 class FaultKind(str, Enum):
     """Injectable fault families."""
 

@@ -31,7 +31,7 @@ from .config import (
     RULE_SCORE_BOOST,
     FaultKind,
 )
-from .contextpack import ContextPack, task_descriptor
+from .contextpack import ContextPack, PackItem, task_descriptor
 from .memory.knowledge import INFRA_CHAIN, Triple, bfs
 from .memory.runbooks import Runbook
 
@@ -119,22 +119,19 @@ def _adjacency(triples: list[Triple]) -> dict[str, set[str]]:
     return adj
 
 
-def _triple_key(triple: Triple) -> str:
-    return f"kg_subgraph:{triple.subject}|{triple.predicate}|{triple.object}"
-
-
 def _follow(
-    entity: str, triples: list[Triple], predicates: tuple[str, ...]
-) -> tuple[str | None, list[Triple]]:
+    entity: str, items: list[PackItem], predicates: tuple[str, ...]
+) -> tuple[str | None, list[PackItem]]:
     """Walk one packed triple per predicate from `entity` (subject to
-    object): the end entity, or None at a missing hop, and the triples walked."""
-    path: list[Triple] = []
+    object): the end entity, or None at a missing hop, and the items walked."""
+    path: list[PackItem] = []
     for predicate in predicates:
-        hop = next((t for t in triples if t.predicate == predicate and t.subject == entity), None)
+        hop = next((it for it in items
+                    if it.payload.predicate == predicate and it.payload.subject == entity), None)
         if hop is None:
             return None, path
         path.append(hop)
-        entity = hop.object
+        entity = hop.payload.object
     return entity, path
 
 
@@ -150,11 +147,11 @@ _WALK = {
 def _localise(
     kind: FaultKind,
     attrs: dict[str, frozenset[str]],
-    triples: list[Triple],
+    items: list[PackItem],
     affected_service: str,
-) -> Iterator[tuple[str, str, list[Triple]]]:
-    """(alerting entity, suspect, triples walked) for each entity whose
-    symptoms cover the kind's signature, in name order.
+) -> Iterator[tuple[str, str, list[PackItem]]]:
+    """(alerting entity, suspect, packed triples walked) for each entity
+    whose symptoms cover the kind's signature, in name order.
 
     The suspect is the end of the kind's walk, or the entity itself when a
     hop is missing from the pack. Ingress throttling is read only on the
@@ -163,7 +160,7 @@ def _localise(
     entities = (affected_service,) if kind is FaultKind.INGRESS_THROTTLE else sorted(attrs)
     for entity in entities:
         if signature <= attrs.get(entity, frozenset()):
-            end, path = _follow(entity, triples, _WALK.get(kind, ()))
+            end, path = _follow(entity, items, _WALK.get(kind, ()))
             yield entity, end or entity, path
 
 
@@ -184,7 +181,7 @@ def diagnose(pack: ContextPack) -> Diagnosis:
     affected_service = descriptor.affected_service
     by_entity = _alerts_by_entity(pack)
     attrs = {e: frozenset(alert.attribute for _, alert in pairs) for e, pairs in by_entity.items()}
-    triples = [item.payload for item in pack.section("kg_subgraph")]
+    items = pack.section("kg_subgraph")
 
     # Route 1: validated-rule shortcut, blaming each implied kind's first
     # localised entity.
@@ -200,7 +197,7 @@ def diagnose(pack: ContextPack) -> Diagnosis:
                 for label in sorted(rule.cause_labels):
                     kind = FaultKind(label[len(CAUSE_PREFIX):])
                     suspect = next(
-                        (s for _, s, _ in _localise(kind, attrs, triples, affected_service)),
+                        (s for _, s, _ in _localise(kind, attrs, items, affected_service)),
                         affected_service,
                     )
                     yield RootCauseHypothesis(
@@ -216,7 +213,7 @@ def diagnose(pack: ContextPack) -> Diagnosis:
     # Route 2: severity propagation over the packed subgraph.
     if not by_entity:
         return Diagnosis((), compute_units=0.0, path="abstain")
-    adj = _adjacency(triples)
+    adj = _adjacency([item.payload for item in items])
     center = descriptor.affected_entity or affected_service
     dist = bfs(center, lambda v: adj.get(v, ()))
     # Alert entities outside the packed neighborhood still carry evidence;
@@ -225,7 +222,7 @@ def diagnose(pack: ContextPack) -> Diagnosis:
 
     def propagated():
         for kind in FaultKind:
-            for entity, suspect, path in _localise(kind, attrs, triples, affected_service):
+            for entity, suspect, path in _localise(kind, attrs, items, affected_service):
                 pairs = by_entity[entity]
                 yield RootCauseHypothesis(
                     fault_kind=kind,
@@ -235,7 +232,7 @@ def diagnose(pack: ContextPack) -> Diagnosis:
                         for _, alert in pairs
                     ),
                     evidence=tuple(sorted(key for key, _ in pairs))
-                    + tuple(_triple_key(t) for t in path),
+                    + tuple(item.key for item in path),
                 )
 
     ranked = _ranked(propagated())

@@ -1,23 +1,21 @@
 """Scripted end-to-end runs: config in, deterministic artifact files out.
 
 A run config pins the topology, the fault script, seed runbooks, policies,
-and loop parameters. `run` drives the agent loop over the scripted
-episodes and writes report.jsonl, episodes.jsonl, transitions.log, kg.tsv,
-episodic.jsonl, rules.jsonl, and one mining-context CSV per learning pass.
-Before the first episode the feed fills its ring; after each episode it
-passes the rest of the episode's uncleared fault and W + 1 ticks more (W
-the detection window), so the next episode starts on a ring of quiet
-ticks. `TelemetryFeed.pass_to` steps only the last W ticks it passes.
-Identical configs produce byte-identical files.
+and loop parameters; `load_config` and `config_from_dict` check it in full.
+`run` drives the agent loop over the scripted episodes and hands each
+closed episode to an `artifacts.RunWriter`, which writes the run directory
+after the last one. Before the first episode the feed fills its ring;
+after each episode it passes the rest of the episode's uncleared fault
+and W + 1 ticks more (W the detection window), so the next episode starts
+on a ring of quiet ticks. `TelemetryFeed.pass_to` steps only the last W
+ticks it passes. Identical configs produce byte-identical files.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
-import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cluster import (
@@ -30,10 +28,9 @@ from .cluster import (
     check_free_id,
     check_scenario,
 )
-from .config import SECTION_ORDER, SYMPTOM_VOCAB, ActionKind, FaultKind
-from .contextpack import TraceEntry
+from .artifacts import RunWriter
+from .config import SECTION_ORDER, SYMPTOM_VOCAB, ActionKind, ConfigError, FaultKind
 from .ingest import TelemetryFeed
-from .lattice import rules_jsonl
 from .memory import (
     EpisodicStore,
     KnowledgeGraph,
@@ -44,15 +41,7 @@ from .memory import (
     bootstrap_from_topology,
     default_ontology,
 )
-from .orchestrator import AgentLoop, EpisodeRun, LoopParams, Phase
-
-EPISODES_FORMAT = "opsloop-episodes"
-EPISODES_VERSION = 1
-
-
-class ConfigError(Exception):
-    pass
-
+from .orchestrator import AgentLoop, EpisodeRun, LoopParams
 
 @dataclass(frozen=True)
 class ScenarioTemplate:
@@ -315,7 +304,6 @@ class RunReport:
     aggregates: dict
     out_dir: Path
     episode_runs: list[EpisodeRun]
-    kg_lines: list[str]
 
 
 def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
@@ -342,184 +330,8 @@ def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
     )
 
 
-def _row_for(run: EpisodeRun, scenario: FaultScenario | None, rules_active: int) -> dict:
-    top_kind = None
-    top_entity = None
-    path = "no_incident" if run.final_phase == Phase.IDLE.value else "abstain"
-    if run.diagnosis is not None:
-        path = run.diagnosis.path
-        if run.diagnosis.hypotheses:
-            top_kind = run.diagnosis.hypotheses[0].fault_kind.value
-            top_entity = run.diagnosis.hypotheses[0].suspect_entity
-    correct = (
-        scenario is not None
-        and top_kind == FaultKind(scenario.kind).value
-        and top_entity == scenario.target
-    )
-    episode = run.episode
-    attempts = sum(1 for t in run.transitions if t.event == "plan_ready")
-    compute = run.ledger.snapshot()
-    return {
-        "episode_id": run.episode_id,
-        "fault_kind": FaultKind(scenario.kind).value if scenario else None,
-        "fault_target": scenario.target if scenario else None,
-        "top1_kind": top_kind,
-        "top1_entity": top_entity,
-        "correct": bool(correct),
-        "resolved": bool(episode.resolved) if episode else False,
-        "ticks_to_resolve": episode.ticks_to_resolve if episode else None,
-        "start_tick": episode.start_tick if episode else None,
-        "end_tick": episode.end_tick if episode else None,
-        "attempts": attempts,
-        "path": path,
-        "escalation_reason": run.escalation_reason,
-        "compute": compute["units"],
-        "compute_total": compute["total"],
-        "tool_calls": compute["tool_calls"],
-        "rules_active": rules_active,
-        "final_phase": run.final_phase,
-    }
-
-
-def compute_aggregates(rows: list[dict]) -> dict:
-    """Run-level summary, derivable from the rows alone."""
-    n = len(rows)
-    if n == 0:
-        return {
-            "episodes": 0,
-            "resolved": 0,
-            "escalated": 0,
-            "top1_accuracy": None,
-            "compute_total": {},
-            "segments": {},
-        }
-    resolved = sum(1 for r in rows if r["resolved"])
-    with_fault = [r for r in rows if r["fault_kind"] is not None]
-    accuracy = (
-        sum(1 for r in with_fault if r["correct"]) / len(with_fault) if with_fault else None
-    )
-    totals: dict[str, float] = {}
-    for r in rows:
-        for component, units in r["compute"].items():
-            totals[component] = totals.get(component, 0.0) + units
-
-    def segment(rows_part: list[dict]) -> dict:
-        ticks = [r["ticks_to_resolve"] for r in rows_part if r["ticks_to_resolve"] is not None]
-        part_fault = [r for r in rows_part if r["fault_kind"] is not None]
-        return {
-            "episodes": [r["episode_id"] for r in rows_part],
-            "mean_ticks_to_resolve": (sum(ticks) / len(ticks)) if ticks else None,
-            "top1_accuracy": (
-                sum(1 for r in part_fault if r["correct"]) / len(part_fault)
-                if part_fault else None
-            ),
-            "reasoner_units": sum(r["compute"].get("reasoner", 0.0) for r in rows_part),
-        }
-
-    third = max(n // 3, 1)
-    return {
-        "episodes": n,
-        "resolved": resolved,
-        "escalated": sum(1 for r in rows if not r["resolved"] and r["path"] != "no_incident"),
-        "top1_accuracy": accuracy,
-        "compute_total": {k: totals[k] for k in sorted(totals)},
-        "segments": {
-            "first": segment(rows[:third]),
-            "middle": segment(rows[third:n - third] if n > 2 * third else []),
-            "last": segment(rows[n - third:] if n > third else []),
-        },
-    }
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _dump_spliced(obj: dict, encoded: dict[str, str]) -> str:
-    """`_dump` of `obj` merged with the values whose JSON text `encoded`
-    already holds, by key. The keys are disjoint; each run of `obj`'s keys
-    between two encoded keys, in sorted order, takes one `_dump`."""
-    parts = []
-    pending: dict = {}
-    for key in sorted(obj.keys() | encoded.keys()):
-        if key in encoded:
-            if pending:
-                parts.append(_dump(pending)[1:-1])
-                pending = {}
-            parts.append(f"{encode_basestring_ascii(key)}:{encoded[key]}")
-        else:
-            pending[key] = obj[key]
-    if pending:
-        parts.append(_dump(pending)[1:-1])
-    return "{" + ",".join(parts) + "}"
-
-
-# `_dump(t._asdict())` of a TraceEntry: its keys in sorted order.
-_TRACE_ENTRY = '{"cost":%d,"included":%s,"key":%s,"reason":%s,"section":%s}'
-
-
-def _traces_json(traces: list[list[TraceEntry]], memo: dict[TraceEntry, str]) -> str:
-    """`_dump` of an episode's pack traces as lists of entry dicts. Each
-    distinct entry is encoded once into `memo`, which a run shares across
-    its episodes."""
-    packs = []
-    for trace in traces:
-        entries = []
-        for entry in trace:
-            text = memo.get(entry)
-            if text is None:
-                text = memo[entry] = _TRACE_ENTRY % (
-                    entry.cost,
-                    "true" if entry.included else "false",
-                    encode_basestring_ascii(entry.key),
-                    encode_basestring_ascii(entry.reason),
-                    encode_basestring_ascii(entry.section),
-                )
-            entries.append(text)
-        packs.append("[" + ",".join(entries) + "]")
-    return "[" + ",".join(packs) + "]"
-
-
-def _episode_record(run: EpisodeRun, scenario: FaultScenario | None) -> dict:
-    """An episode's record in episodes.jsonl, but for its `row` and its
-    `pack_traces`, which the writer splices in as JSON text."""
-    return {
-        "scenario": (
-            {
-                "kind": FaultKind(scenario.kind).value,
-                "target": scenario.target,
-                "start_tick": scenario.start_tick,
-                "duration": scenario.duration,
-                "magnitude": scenario.magnitude,
-            }
-            if scenario else None
-        ),
-        "episode": run.episode.to_dict() if run.episode else None,
-        "transitions": [t.to_row() for t in run.transitions],
-        "hypotheses": (
-            [h.to_dict() for h in run.diagnosis.hypotheses] if run.diagnosis else []
-        ),
-        "diagnosis_path": run.diagnosis.path if run.diagnosis else None,
-        "plan": run.plan.to_dict() if run.plan else None,
-        "action_results": [
-            {
-                "runbook_id": rb_id,
-                "action": res.action,
-                "target": res.target,
-                "tick": res.tick,
-                "success": res.success,
-                "detail": res.detail,
-            }
-            for rb_id, res in run.action_results
-        ],
-        "ledger": run.ledger.snapshot(),
-        "deferred_subtasks": [d.to_dict() for d in run.deferred_subtasks],
-    }
-
-
 def run(config: RunConfig, out_dir: str | Path) -> RunReport:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    writer = RunWriter(Path(out_dir))
     topology = build_topology(config.topology)
     sim = ClusterSim(topology, seed=config.seed, noise_pct=config.params.noise_pct)
     memories = _build_memories(config, topology)
@@ -528,9 +340,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
 
     feed.pass_to(config.params.detect_window + 1)
 
-    rows: list[dict] = []
     runs: list[EpisodeRun] = []
-    records: list[dict] = []
     for i in range(config.episodes):
         scenario = None
         if config.scenario:
@@ -539,140 +349,12 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
             sim.inject(scenario)
         episode_run = loop.run_episode(_episode_id(i))
         runs.append(episode_run)
-        row = _row_for(episode_run, scenario, loop.active_rule_count())
-        rows.append(row)
-        records.append(_episode_record(episode_run, scenario))
+        writer.episode(episode_run, scenario, loop.active_rule_count())
         # Drain: pass the rest of an uncleared fault, then W + 1 ticks more.
         end = sim.tick
         if scenario is not None and scenario.duration is not None and not sim.fault_cleared(scenario):
             end = max(end, scenario.start_tick + scenario.duration)
         feed.pass_to(end + config.params.detect_window + 1)
 
-    aggregates = compute_aggregates(rows)
-    aggregates["rules_validated"] = loop.active_rule_count()
-    aggregates["rules_retired"] = sum(
-        1 for r in memories.kg.rules.values() if r.status == "retired"
-    )
-    aggregates["rules_mined_total"] = sum(
-        len(rep.mined) for rep in loop.learning_reports
-    )
-
-    row_lines = [_dump(r) for r in rows]
-    report_lines = row_lines + [_dump({"aggregates": aggregates})]
-    (out / "report.jsonl").write_text("\n".join(report_lines) + "\n")
-
-    memo: dict[TraceEntry, str] = {}
-    episode_lines = [_dump({"format": EPISODES_FORMAT, "version": EPISODES_VERSION})]
-    episode_lines += [
-        _dump_spliced(rec, {"pack_traces": _traces_json(r.pack_traces, memo), "row": line})
-        for rec, r, line in zip(records, runs, row_lines)
-    ]
-    (out / "episodes.jsonl").write_text("\n".join(episode_lines) + "\n")
-
-    transition_lines = []
-    for episode_run in runs:
-        for t in episode_run.transitions:
-            transition_lines.append(
-                f"{episode_run.episode_id}\t{t.tick}\t{t.phase_from}\t{t.event}"
-                f"\t{t.phase_to}\t{t.budget_total:.4f}"
-            )
-    (out / "transitions.log").write_text("\n".join(transition_lines) + "\n")
-
-    kg_lines = memories.kg.export_tsv()
-    (out / "kg.tsv").write_text("\n".join(kg_lines) + "\n")
-    (out / "episodic.jsonl").write_text("\n".join(memories.episodic.export_jsonl()) + "\n")
-    (out / "rules.jsonl").write_text("\n".join(rules_jsonl(memories.kg)) + "\n")
-    # A rerun into the same directory leaves no context of an earlier run.
-    for path in out.glob("context_*.csv"):
-        if re.fullmatch(r"context_\d{3,}\.csv", path.name):
-            path.unlink()
-    for i, report in enumerate(loop.learning_reports):
-        (out / f"context_{i + 1:03d}.csv").write_text(report.context.to_csv())
-
-    return RunReport(
-        rows=rows, aggregates=aggregates, out_dir=out, episode_runs=runs, kg_lines=kg_lines,
-    )
-
-
-def export_kg(config: RunConfig, out_path: str | Path) -> Path:
-    """Re-run the config deterministically and write only the final graph."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        report = run(config, tmp)
-        target = Path(out_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(report.kg_lines) + "\n")
-    return Path(out_path)
-
-
-def replay(episodes_path: str | Path, episode_id: str) -> str:
-    """Reconstruct a human-readable transcript for one recorded episode."""
-    p = Path(episodes_path)
-    if not p.is_file():
-        raise ConfigError(f"episodes file not found: {p}")
-    lines = p.read_text().splitlines()
-    if not lines:
-        raise ConfigError(f"episodes file is empty: {p}")
-    header = json.loads(lines[0])
-    if header.get("format") != EPISODES_FORMAT:
-        raise ConfigError(f"not an episodes file: {p}")
-    record = None
-    for line in lines[1:]:
-        rec = json.loads(line)
-        if rec["row"]["episode_id"] == episode_id:
-            record = rec
-            break
-    if record is None:
-        raise KeyError(f"episode {episode_id!r} not found in {p}")
-
-    row = record["row"]
-    out = [f"episode {episode_id}"]
-    scen = record.get("scenario")
-    if scen:
-        dur = scen["duration"] if scen["duration"] is not None else "persistent"
-        out.append(
-            f"fault: {scen['kind']} @ {scen['target']} "
-            f"(magnitude {scen['magnitude']}, start {scen['start_tick']}, duration {dur})"
-        )
-    out.append("transitions:")
-    for tick, frm, event, to, total in record["transitions"]:
-        out.append(f"  tick {tick:>5}  {frm:<10} --{event}--> {to}  (budget {total:.2f})")
-    out.append(f"diagnosis ({record['diagnosis_path']}):")
-    for i, h in enumerate(record["hypotheses"], 1):
-        via = f" via {h['via_rule']}" if h["via_rule"] else ""
-        out.append(
-            f"  {i}. {h['fault_kind']} @ {h['suspect_entity']} "
-            f"score={h['score']:.3f}{via}"
-        )
-        out.append(f"     evidence: {', '.join(h['evidence'])}")
-    plan = record.get("plan")
-    if plan:
-        for entry in plan["entries"]:
-            steps = "; ".join(f"{a} @ {t}" for a, t in entry["actions"])
-            out.append(f"plan [{entry['runbook_id']}]: {steps}")
-        out.append(
-            f"stop condition: {plan['stop_attribute']} clear on "
-            f"{', '.join(plan['stop_entities'])}"
-        )
-    if record["action_results"]:
-        out.append("actions:")
-        for res in record["action_results"]:
-            status = "success" if res["success"] else "failed"
-            out.append(
-                f"  [{res['runbook_id']}] {res['action']} @ {res['target']} "
-                f"tick {res['tick']} -> {status} ({res['detail']})"
-            )
-    if row["path"] == "no_incident":
-        out.append("outcome: no incident; no alert came within the wait")
-    elif row["resolved"]:
-        out.append(
-            f"outcome: resolved in {row['ticks_to_resolve']} ticks; "
-            f"compute {row['compute_total']:.2f} units, {row['tool_calls']} tool calls"
-        )
-    else:
-        out.append(
-            f"outcome: escalated ({row['escalation_reason']}); "
-            f"compute {row['compute_total']:.2f} units, {row['tool_calls']} tool calls"
-        )
-    return "\n".join(out) + "\n"
+    aggregates = writer.close(loop)
+    return RunReport(rows=writer.rows, aggregates=aggregates, out_dir=writer.out_dir, episode_runs=runs)

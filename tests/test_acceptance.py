@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from opsloop.artifacts import read_run
 from opsloop.config import SYMPTOM_VOCAB, is_outcome_label
 from opsloop.contextpack import BudgetPolicy, IncidentDescriptor, assemble
 from opsloop.lattice import FormalContext, Rule, inject_rules, lattice_leq, mine_rules
@@ -277,10 +278,7 @@ def test_criterion_05_decommissioned_provenance_rules_stop_influencing(forgettin
     assert rows[6]["fault_kind"] == "node_decommission"
     assert rows[6]["rules_active"] == 0
 
-    records = [
-        json.loads(line)
-        for line in (out / "episodes.jsonl").read_text().splitlines()[1:]
-    ]
+    records = read_run(out / "episodes.jsonl")
     tail = [rec for rec in records
             if rec["row"]["episode_id"] in ("ep-0008", "ep-0009", "ep-0010")]
     assert len(tail) == 3

@@ -11,25 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsloop import orchestrator
-from opsloop.cli import main
+from opsloop.artifacts import _dump, _dump_spliced, _traces_json, compute_aggregates, read_run, replay
+from opsloop.cli import export_kg, main
 from opsloop.cluster import ClusterSim
-from opsloop.config import DETECT_WINDOW, SYMPTOM_VOCAB, ActionKind, FaultKind
+from opsloop.config import DETECT_WINDOW, SYMPTOM_VOCAB, ActionKind, ConfigError, FaultKind
 from opsloop.contextpack import TraceEntry
 from opsloop.ingest import TelemetryFeed
 from opsloop.orchestrator import AgentLoop, legal_transition_triples
-from opsloop.runner import (
-    ConfigError,
-    ScenarioTemplate,
-    _dump,
-    _dump_spliced,
-    _traces_json,
-    compute_aggregates,
-    config_from_dict,
-    export_kg,
-    load_config,
-    replay,
-    run,
-)
+from opsloop.runner import ScenarioTemplate, config_from_dict, load_config, run
 
 from conftest import CONFIG_DIR, tiny_topology_spec
 
@@ -612,8 +601,7 @@ def test_transitions_log_is_auditable(tiny_report):
 def test_episodes_jsonl_header_and_replay(tiny_report):
     _, out = tiny_report
     path = out / "episodes.jsonl"
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header == {"format": "opsloop-episodes", "version": 1}
+    assert path.read_text().splitlines()[0] == '{"format":"opsloop-episodes","version":1}'
     transcript = replay(path, "ep-0002")
     assert "episode ep-0002" in transcript
     assert "fault: noisy_neighbor @ n1" in transcript
@@ -635,6 +623,105 @@ def test_replay_rejects_non_episode_files(tmp_path):
     empty.write_text("")
     with pytest.raises(ConfigError, match="empty"):
         replay(empty, "ep-0001")
+    # Each of these once exited 2, or 1 with "not found: 'transitions'"
+    # for a version-2 file; the error names the file and the line.
+    header = '{"format":"opsloop-episodes","version":1}\n'
+    record = '{"row":{"episode_id":"ep-0001"}}\n'
+    for name, text, message in [
+        ("v2.jsonl", '{"format":"opsloop-episodes","version":2}\n' + record,
+         "v2.jsonl:1: episodes version 2"),
+        ("torn.jsonl", header + record[:9] + "\n", "torn.jsonl:2: not JSON"),
+        ("list.jsonl", '["opsloop-episodes", 1]\n' + record, "list.jsonl:1: not an episodes file"),
+        ("rowless.jsonl", header + "[]\n", "rowless.jsonl:2: not an episode record"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replay(path, "ep-0001")
+        assert main(["replay", "--episodes", str(path), "--episode", "ep-0001"]) == 1
+
+
+@pytest.fixture(scope="module", params=["recurring_dns", "mixed_faults", "decommission_forgetting"])
+def shipped_episodes(request, tmp_path_factory) -> Path:
+    """The episodes.jsonl of a run of one shipped config."""
+    out = tmp_path_factory.mktemp(request.param)
+    run(load_config(CONFIG_DIR / f"{request.param}.json"), out)
+    return out / "episodes.jsonl"
+
+
+def test_every_hypothesis_cites_only_packed_keys(shipped_episodes):
+    # What the reasoner's docstring promises: a diagnosis can be audited
+    # against exactly what it was shown.
+    cited = 0
+    for rec in read_run(shipped_episodes):
+        packed = {e["key"] for trace in rec["pack_traces"] for e in trace if e["included"]}
+        for h in rec["hypotheses"]:
+            assert set(h["evidence"]) <= packed, (rec["row"]["episode_id"], h)
+            cited += 1
+    assert cited
+
+
+def _reference_transcript(record: dict, episode_id: str) -> str:
+    """What `replay` printed for a record before it read through
+    `read_run`: its formatting, kept as it was."""
+    row = record["row"]
+    out = [f"episode {episode_id}"]
+    scen = record.get("scenario")
+    if scen:
+        dur = scen["duration"] if scen["duration"] is not None else "persistent"
+        out.append(
+            f"fault: {scen['kind']} @ {scen['target']} "
+            f"(magnitude {scen['magnitude']}, start {scen['start_tick']}, duration {dur})"
+        )
+    out.append("transitions:")
+    for tick, frm, event, to, total in record["transitions"]:
+        out.append(f"  tick {tick:>5}  {frm:<10} --{event}--> {to}  (budget {total:.2f})")
+    out.append(f"diagnosis ({record['diagnosis_path']}):")
+    for i, h in enumerate(record["hypotheses"], 1):
+        via = f" via {h['via_rule']}" if h["via_rule"] else ""
+        out.append(
+            f"  {i}. {h['fault_kind']} @ {h['suspect_entity']} "
+            f"score={h['score']:.3f}{via}"
+        )
+        out.append(f"     evidence: {', '.join(h['evidence'])}")
+    plan = record.get("plan")
+    if plan:
+        for entry in plan["entries"]:
+            steps = "; ".join(f"{a} @ {t}" for a, t in entry["actions"])
+            out.append(f"plan [{entry['runbook_id']}]: {steps}")
+        out.append(
+            f"stop condition: {plan['stop_attribute']} clear on "
+            f"{', '.join(plan['stop_entities'])}"
+        )
+    if record["action_results"]:
+        out.append("actions:")
+        for res in record["action_results"]:
+            status = "success" if res["success"] else "failed"
+            out.append(
+                f"  [{res['runbook_id']}] {res['action']} @ {res['target']} "
+                f"tick {res['tick']} -> {status} ({res['detail']})"
+            )
+    if row["path"] == "no_incident":
+        out.append("outcome: no incident; no alert came within the wait")
+    elif row["resolved"]:
+        out.append(
+            f"outcome: resolved in {row['ticks_to_resolve']} ticks; "
+            f"compute {row['compute_total']:.2f} units, {row['tool_calls']} tool calls"
+        )
+    else:
+        out.append(
+            f"outcome: escalated ({row['escalation_reason']}); "
+            f"compute {row['compute_total']:.2f} units, {row['tool_calls']} tool calls"
+        )
+    return "\n".join(out) + "\n"
+
+
+def test_replay_prints_the_reference_transcript_of_every_episode(shipped_episodes):
+    records = read_run(shipped_episodes)
+    assert records
+    for rec in records:
+        episode_id = rec["row"]["episode_id"]
+        assert replay(shipped_episodes, episode_id) == _reference_transcript(rec, episode_id)
 
 
 def test_two_runs_same_seed_are_byte_identical(tmp_path):
@@ -754,7 +841,7 @@ def test_a_skipping_drain_writes_what_a_stepping_drain_writes(mixed_config_path,
     monkeypatch.setattr(TelemetryFeed, "pass_to", _stepping_pass_to)
     run(config_from_dict(raw), tmp_path / "step")
     assert [r["resolved"] for r in report.rows] == [True, False, True, True, False, True, False, True, True]
-    gone = json.loads((tmp_path / "skip" / "episodes.jsonl").read_text().splitlines()[5])["scenario"]
+    gone = read_run(tmp_path / "skip" / "episodes.jsonl")[4]["scenario"]
     assert gone["kind"] == "node_decommission"
     # Every drain skips the first of its flush ticks, which no window
     # reads; the two after an escalated ToR episode skip its fault too.
@@ -1034,10 +1121,12 @@ def test_run_lines_are_one_dump_of_their_records(dns_config_path, tmp_path):
     report = run(config_from_dict(raw), tmp_path)
     assert all(r["resolved"] for r in report.rows)
     report_lines = (tmp_path / "report.jsonl").read_text().splitlines()
-    episode_lines = (tmp_path / "episodes.jsonl").read_text().splitlines()
-    for line in report_lines + episode_lines:
+    for line in report_lines:
         assert line == _dump(json.loads(line))
-    records = [json.loads(line) for line in episode_lines[1:]]
+    records = read_run(tmp_path / "episodes.jsonl")
+    assert (tmp_path / "episodes.jsonl").read_text().splitlines() == [
+        _dump({"format": "opsloop-episodes", "version": 1}), *map(_dump, records)
+    ]
     assert [rec["row"] for rec in records] == [json.loads(line) for line in report_lines[:-1]]
     assert [rec["pack_traces"] for rec in records] == [
         [[t._asdict() for t in trace] for trace in r.pack_traces] for r in report.episode_runs
