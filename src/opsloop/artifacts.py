@@ -22,11 +22,16 @@ from pathlib import Path
 from .cluster import FaultScenario
 from .config import ConfigError, FaultKind
 from .contextpack import TraceEntry
-from .lattice import rules_jsonl
+from .lattice import DistillReport, rules_jsonl
 from .orchestrator import AgentLoop, EpisodeRun, Phase
 
 EPISODES_FORMAT = "opsloop-episodes"
 EPISODES_VERSION = 1
+# The keys of an episodes.jsonl record, as `RunWriter.episode` writes them.
+_RECORD_KEYS = frozenset({
+    "row", "scenario", "episode", "transitions", "hypotheses", "diagnosis_path", "plan",
+    "action_results", "ledger", "deferred_subtasks", "pack_traces",
+})
 
 
 def compute_aggregates(rows: list[dict]) -> dict:
@@ -133,6 +138,7 @@ class RunWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.out_dir = out_dir
         self.rows: list[dict] = []
+        self._learning: list[DistillReport] = []  # each pass, in order
         self._report_lines: list[str] = []
         self._episode_lines = [_dump({"format": EPISODES_FORMAT, "version": EPISODES_VERSION})]
         self._transition_lines: list[str] = []
@@ -211,6 +217,8 @@ class RunWriter:
             f"{run.episode_id}\t{t.tick}\t{t.phase_from}\t{t.event}\t{t.phase_to}\t{t.budget_total:.4f}"
             for t in run.transitions
         ]
+        if run.learning is not None:
+            self._learning.append(run.learning)
 
     def close(self, loop: AgentLoop) -> dict:
         """Write every file of the run that `loop` played, and return the
@@ -219,7 +227,7 @@ class RunWriter:
         aggregates = compute_aggregates(self.rows)
         aggregates["rules_validated"] = loop.active_rule_count()
         aggregates["rules_retired"] = sum(1 for r in memories.kg.rules.values() if r.status == "retired")
-        aggregates["rules_mined_total"] = sum(len(rep.mined) for rep in loop.learning_reports)
+        aggregates["rules_mined_total"] = sum(len(rep.mined) for rep in self._learning)
 
         for name, lines in (
             ("report.jsonl", self._report_lines + [_dump({"aggregates": aggregates})]),
@@ -236,7 +244,7 @@ class RunWriter:
         for path in out.glob("context_*.csv"):
             if re.fullmatch(r"context_\d{3,}\.csv", path.name):
                 path.unlink()
-        for i, report in enumerate(loop.learning_reports):
+        for i, report in enumerate(self._learning):
             (out / f"context_{i + 1:03d}.csv").write_text(report.context.to_csv())
         return aggregates
 
@@ -261,7 +269,7 @@ def read_run(path: str | Path) -> list[dict]:
                 raise ConfigError(f"{p}:1: not an episodes file")
             if obj.get("version") != EPISODES_VERSION:
                 raise ConfigError(f"{p}:1: episodes version {obj.get('version')!r}, not {EPISODES_VERSION}")
-        elif isinstance(obj, dict) and isinstance(obj.get("row"), dict):
+        elif isinstance(obj, dict) and obj.keys() == _RECORD_KEYS and isinstance(obj["row"], dict):
             records.append(obj)
         else:
             raise ConfigError(f"{p}:{n}: not an episode record")

@@ -9,11 +9,13 @@ forgetting: rules whose evidence died with decommissioned hardware, lost
 confidence, or aged out without reconfirmation.
 
 Internally a context stores incidence as per-attribute and per-object
-int bitmasks; attribute index 0 is the lectically most significant
-position. A context keeps its lattice once computed: the intents in
-ascending lectic order, each intent's extent mask and the count below.
-Names and frozensets are built only for what leaves the module:
-`concepts()` and the rules that survive the thresholds.
+int bitmasks. Attribute i of m sits at bit m - 1 - i, so attribute 0 is
+the lectically most significant position and lectic order is integer
+order; object i sits at bit i, so rows append. A context keeps its
+lattice once computed: the intents in ascending order, each intent's
+extent mask and the count below. Names and frozensets are built only for
+what leaves the module: `concepts()` and the rules that survive the
+thresholds.
 
 Insertion builds every lattice, the way Godin, Missaoui & Alaoui (1995)
 add an object. A context's lattice starts as the lattice of no objects,
@@ -26,24 +28,14 @@ grows, so `context_from_episodes` extends the last context it built and
 moves that context's lattice into the new one, inserting only the new
 rows; most of them recur, and cost what the intents inside them do.
 
-Mining is continual in the same way. A lattice remembers the intents its
-insertions touched (the old intents that gained an object and the new
-ones) and, from the last `mine_rules` on it, the `min_support` used and
-the frequent rule-shaped intents found. The next `mine_rules` at the same
-`min_support` reads only those frequent intents and the touched ones; a
-fresh lattice or another `min_support` reads every intent. Nothing else
-can yield a rule: an untouched intent keeps its extent while `n` only
-grows, so one below support stays below. Confidence is recomputed for
-every intent read, because an antecedent's extent can grow when the
-intent's does not.
-
 NextClosure only defines the count. `closure_calls` counts the candidate
 closures Ganter's NextClosure would examine to list the lattice, one per
 candidate attribute tried, and that count is a learning pass's `ill`
 charge. It follows from the lattice alone: from intent A, NextClosure
 tries every attribute outside A at or above the lowest index where A and
-its lectic successor differ. So insertion keeps the count summed over
-lectic neighbours, without running NextClosure.
+its lectic successor differ, which is their highest differing bit. So
+insertion keeps the count summed over lectic neighbours, without running
+NextClosure.
 """
 from __future__ import annotations
 
@@ -53,7 +45,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .config import (
     ASET_PREFIX,
@@ -86,16 +78,10 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _selected(names: tuple[str, ...], mask: int) -> Iterator[str]:
-    """The names at the set bits of `mask`, in order, in one C-level pass:
-    the mask's binary digits, reversed, flag each name in turn."""
+    """The names at the set bits of an object mask (name i at bit i), in
+    order, in one C-level pass: the mask's binary digits, reversed, flag
+    each name in turn."""
     return compress(names, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
-
-
-def _lectic_key(width: int):
-    """A sort key for masks over `width` attributes in lectic order: the
-    bits reversed, so that attribute 0 is the most significant."""
-    spec = f"0{width}b"
-    return lambda mask: int(format(mask, spec)[::-1], 2)
 
 
 # One step of a submask walk costs about this many steps of a scan over
@@ -104,33 +90,25 @@ def _lectic_key(width: int):
 _SUBMASK_COST = 1.5
 
 
-def _tries(a: int, b: int, full: int) -> int:
+def _tries(a: int, b: int) -> int:
     """The candidates NextClosure tries from intent `a` to reach its lectic
-    successor `b`: the attributes outside `a` (of `full`) at or above the
-    lowest index where the two differ."""
-    d = a ^ b
-    return (~a & full & -(d & -d)).bit_count()
+    successor `b`: the attributes outside `a` at or above the lowest index
+    where the two differ, the bits of `~a` up to their highest differing
+    bit."""
+    return (~a & ((1 << (a ^ b).bit_length()) - 1)).bit_count()
 
 
 @dataclass
 class _Lattice:
-    """A context's concepts: the intents in ascending lectic order, their
-    lectic keys in the same order, the extent mask of each, and the
-    candidates NextClosure tries to list them; the lectic key function and
-    the mask of the outcome labels, which hold while the attributes do.
-    For continual mining: the intents inserted or grown since the last
-    `mine_rules`, and that pass's `min_support` and frequent rule-shaped
-    intents."""
+    """A context's concepts: the intents in ascending (lectic) order, the
+    extent mask of each, and the candidates NextClosure tries to list
+    them; and the mask of the outcome labels, which holds while the
+    attributes do."""
 
     intents: list[int]
-    keys: list[int]
     extents: dict[int, int]
     closure_calls: int
-    key: Callable[[int], int]
     outcome: int
-    touched: set[int] = field(default_factory=set)
-    mined_support: float | None = None
-    frequent: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -156,17 +134,20 @@ class FormalContext:
         if len(set(self.attributes)) != len(self.attributes):
             raise ContextError("duplicate attribute names")
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
-        self._attr_index = {a: i for i, a in enumerate(self.attributes)}
+        # Each attribute's bit, the first attribute's highest (module
+        # docstring); `_attr_extents` is indexed by bit.
+        top = len(self.attributes) - 1
+        self._attr_bit = {a: top - i for i, a in enumerate(self.attributes)}
         self._attr_extents = [0] * len(self.attributes)
         self._obj_intents = [0] * len(self.objects)
         for obj, attr in incidence:
             try:
                 oi = self._obj_index[obj]
-                ai = self._attr_index[attr]
+                b = self._attr_bit[attr]
             except KeyError as exc:
                 raise ContextError(f"incidence references unknown name: {exc}") from None
-            self._attr_extents[ai] |= 1 << oi
-            self._obj_intents[oi] |= 1 << ai
+            self._attr_extents[b] |= 1 << oi
+            self._obj_intents[oi] |= 1 << b
         self._all_objects = (1 << len(self.objects)) - 1
         self._all_attrs = (1 << len(self.attributes)) - 1
         self.closure_calls = 0
@@ -182,7 +163,7 @@ class FormalContext:
         mask = 0
         for a in attrs:
             try:
-                mask |= 1 << self._attr_index[a]
+                mask |= 1 << self._attr_bit[a]
             except KeyError:
                 raise ContextError(f"unknown attribute: {a!r}") from None
         return mask
@@ -196,8 +177,14 @@ class FormalContext:
                 raise ContextError(f"unknown object: {o!r}") from None
         return mask
 
+    def _attr_digits(self, mask: int) -> str:
+        """The 0/1 digit of each attribute in `mask`, in attribute order:
+        the mask's binary digits below a top bit."""
+        return bin(mask | 1 << len(self.attributes))[3:]
+
     def _attrs_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(_selected(self.attributes, mask))
+        flags = self._attr_digits(mask).encode().translate(_DIGIT_FLAGS)
+        return frozenset(compress(self.attributes, flags))
 
     def _objs_from_mask(self, mask: int) -> frozenset[str]:
         return frozenset(_selected(self.objects, mask))
@@ -242,9 +229,8 @@ class FormalContext:
         if lattice is None:
             # The lattice of no objects: the full set, one closure to reach.
             full = self._all_attrs
-            key = _lectic_key(len(self.attributes))
             outcome = self._attr_mask(a for a in self.attributes if is_outcome_label(a))
-            lattice = self._lattice = _Lattice([full], [key(full)], {full: 0}, 1, key, outcome)
+            lattice = self._lattice = _Lattice([full], {full: 0}, 1, outcome)
             for oi, row in enumerate(self._obj_intents):
                 self._insert(1 << oi, row)
         self.closure_calls += lattice.closure_calls
@@ -252,7 +238,7 @@ class FormalContext:
 
     def _concept_masks(self) -> list[tuple[int, int]]:
         """(extent, intent) masks of all concepts, intents in ascending
-        lectic order."""
+        order."""
         lattice = self._listed_lattice()
         extents = lattice.extents
         return [(extents[intent], intent) for intent in lattice.intents]
@@ -281,33 +267,26 @@ class FormalContext:
         inside `row` are the old intents among the intersections of each
         intent with `row`, and they gain the object. A row the lattice
         already holds meets only those, and joins their extents. The other
-        intersections become intents, each placed in lectic order, and the
-        count trades its neighbours' term for the two through it. Every
-        intersection is touched, which matters once the lattice is mined.
-        A fresh build inserts into a context that already holds every row,
-        so each new extent is final when it is made and the later bits it
-        gains are already set."""
+        intersections become intents, each placed in order, and the count
+        trades its neighbours' term for the two through it. A fresh build
+        inserts into a context that already holds every row, so each new
+        extent is final when it is made and the later bits it gains are
+        already set."""
         lattice = self._lattice
-        intents, keys, extents = lattice.intents, lattice.keys, lattice.extents
-        key, full = lattice.key, self._all_attrs
-        meets = self._meets(row)
-        if lattice.mined_support is not None:  # else the next mining reads every intent
-            lattice.touched |= meets
-        for intent in meets:
+        intents, extents = lattice.intents, lattice.extents
+        for intent in self._meets(row):
             if intent in extents:
                 extents[intent] |= bit
                 continue
             extents[intent] = self._extent_mask(intent)
-            k = key(intent)
-            i = bisect.bisect(keys, k)
+            i = bisect.bisect(intents, intent)
             after = intents[i]  # never past the end: the full set is last
-            calls = _tries(intent, after, full)
+            calls = _tries(intent, after)
             if i:
                 before = intents[i - 1]
-                calls += _tries(before, intent, full) - _tries(before, after, full)
+                calls += _tries(before, intent) - _tries(before, after)
             lattice.closure_calls += calls
             intents.insert(i, intent)
-            keys.insert(i, k)
 
     def _extended(self, rows: dict[str, int]) -> FormalContext:
         """This context with `rows` (new object name -> intent mask over the
@@ -329,8 +308,8 @@ class FormalContext:
         for oi, (obj, row) in enumerate(rows.items(), start=len(self.objects)):
             bit = 1 << oi
             new._obj_index[obj] = oi
-            for ai in _bits(row):
-                new._attr_extents[ai] |= bit
+            for b in _bits(row):
+                new._attr_extents[b] |= bit
             new._all_objects |= bit
             if new._lattice is not None:
                 new._insert(bit, row)
@@ -368,10 +347,8 @@ class FormalContext:
         lines are kept in a list shared with the contexts extended from this
         one, so each row of a chain of passes is formatted once."""
         lines = self._csv_rows
-        top = 1 << len(self.attributes)
         for obj, row in zip(self.objects[len(lines):], self._obj_intents[len(lines):]):
-            # Cell j is bit j of the row: its binary digits below the top bit, lowest first.
-            lines.append(obj + "," + ",".join(bin(row | top)[3:][::-1]))
+            lines.append(obj + "," + ",".join(self._attr_digits(row)))
         return "\n".join(["object," + ",".join(self.attributes), *lines[:len(self.objects)]]) + "\n"
 
     @classmethod
@@ -432,14 +409,14 @@ def _extend_last(ordered: list, vocab: tuple[str, ...], vocab_set: set[str]) -> 
     done = len(last_ordered)
     if vocab != last_vocab or len(ordered) < done or not all(map(operator.is_, last_ordered, ordered)):
         return None
-    attr_index = last._attr_index
+    attr_bit = last._attr_bit
     rows: dict[str, int] = {}
     for ep in ordered[done:]:
         mask = 0
         for attr in _episode_row(ep, vocab_set):
-            if attr not in attr_index:
+            if attr not in attr_bit:
                 return None
-            mask |= 1 << attr_index[attr]
+            mask |= 1 << attr_bit[attr]
         rows[ep.episode_id] = mask
     if len(rows) != len(ordered) - done or any(obj in last._obj_index for obj in rows):
         return None
@@ -525,34 +502,27 @@ def mine_rules(
     are nonempty and support |ext(I)|/n and confidence |ext(I)|/|ext(A)|
     clear the thresholds. Counting is exact.
 
-    On a lattice mined before at the same `min_support`, only the intents
-    that were frequent then or touched since are read (module docstring);
-    each call adds the lattice's NextClosure count to `closure_calls`."""
+    One scan reads every intent, and first cuts on the extent's size: the
+    least nonzero count c with c / n >= min_support, found by that same
+    float test, so the cut keeps exactly the intents whose support clears
+    it. Each call adds the lattice's NextClosure count to
+    `closure_calls`."""
     n = len(context.objects)
     if n == 0:
         return []
     lattice = context._listed_lattice()
-    extents = lattice.extents
-    if lattice.mined_support == min_support:
-        candidates = lattice.touched.union(lattice.frequent)
-    else:
-        candidates = lattice.intents
     outcome = lattice.outcome
-    frequent: list[int] = []
+    cut = bisect.bisect_left(range(1, n + 1), min_support, key=lambda c: c / n) + 1
     rules: dict[str, Rule] = {}
-    for intent in candidates:
+    for intent, extent in lattice.extents.items():
+        full_count = extent.bit_count()
+        if full_count < cut:
+            continue
         ante_mask = intent & ~outcome
         cons_mask = intent & outcome
         if not ante_mask or not cons_mask:
             continue
-        extent = extents[intent]
-        full_count = extent.bit_count()
-        if full_count == 0:
-            continue
         support = full_count / n
-        if support < min_support:
-            continue
-        frequent.append(intent)
         # ext(A) contains ext(I), so it is not empty either.
         confidence = full_count / context._extent_mask(ante_mask).bit_count()
         if confidence < min_confidence:
@@ -565,8 +535,6 @@ def mine_rules(
             provenance=tuple(sorted(_selected(context.objects, extent))),
         )
         rules[rule.rule_id] = rule
-    lattice.touched = set()
-    lattice.mined_support, lattice.frequent = min_support, frequent
     return [rules[k] for k in sorted(rules)]
 
 

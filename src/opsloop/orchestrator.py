@@ -273,7 +273,6 @@ class AgentLoop:
         self.weights: dict[str, float] = {s: 1.0 for s in SECTION_ORDER}
         self.episode_count = 0
         self.episodes_since_learning = 0
-        self.learning_reports: list[DistillReport] = []
 
     # -- helpers ---------------------------------------------------------------
 
@@ -614,7 +613,6 @@ class AgentLoop:
         )
         ledger.charge("ill", TARIFF_ILL_CLOSURE * report.closure_calls)
         ledger.charge("memory", TARIFF_MEMORY_ITEM * len(live))
-        self.learning_reports.append(report)
         self.episodes_since_learning = 0
         return report
 

@@ -387,13 +387,13 @@ def test_learning_fires_on_cadence():
                                  duration=40, magnitude=0.8))
         run = loop.run_episode(f"ep-{i + 1:04d}")
         assert run.episode.resolved
+        assert (run.learning is None) == (i == 0)
         # drain the tail of the fault so the next wait starts quiet
         for _ in range(loop.params.detect_window + 25):
             loop.feed.step()
     first, second = loop.episode_count, loop.episodes_since_learning
     assert first == 2 and second == 0  # cadence reset after learning
-    assert len(loop.learning_reports) == 1
-    report = loop.learning_reports[0]
+    report = run.learning  # the second run's
     assert any(
         r.antecedent == frozenset({"cpu_high", "disk_high"}) for r in report.accepted
     )

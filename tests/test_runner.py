@@ -624,7 +624,8 @@ def test_replay_rejects_non_episode_files(tmp_path):
     with pytest.raises(ConfigError, match="empty"):
         replay(empty, "ep-0001")
     # Each of these once exited 2, or 1 with "not found: 'transitions'"
-    # for a version-2 file; the error names the file and the line.
+    # for a version-2 file or a record of a row alone; the error names the
+    # file and the line.
     header = '{"format":"opsloop-episodes","version":1}\n'
     record = '{"row":{"episode_id":"ep-0001"}}\n'
     for name, text, message in [
@@ -633,6 +634,7 @@ def test_replay_rejects_non_episode_files(tmp_path):
         ("torn.jsonl", header + record[:9] + "\n", "torn.jsonl:2: not JSON"),
         ("list.jsonl", '["opsloop-episodes", 1]\n' + record, "list.jsonl:1: not an episodes file"),
         ("rowless.jsonl", header + "[]\n", "rowless.jsonl:2: not an episode record"),
+        ("bare.jsonl", header + record, "bare.jsonl:2: not an episode record"),
     ]:
         path = tmp_path / name
         path.write_text(text)
