@@ -27,10 +27,16 @@ from .orchestrator import AgentLoop, EpisodeRun, Phase
 
 EPISODES_FORMAT = "opsloop-episodes"
 EPISODES_VERSION = 1
-# The keys of an episodes.jsonl record, as `RunWriter.episode` writes them.
+# The keys of an episodes.jsonl record and of its report row, as
+# `RunWriter.episode` writes them.
 _RECORD_KEYS = frozenset({
     "row", "scenario", "episode", "transitions", "hypotheses", "diagnosis_path", "plan",
     "action_results", "ledger", "deferred_subtasks", "pack_traces",
+})
+_ROW_KEYS = frozenset({
+    "episode_id", "fault_kind", "fault_target", "top1_kind", "top1_entity", "correct",
+    "resolved", "ticks_to_resolve", "start_tick", "end_tick", "attempts", "path",
+    "escalation_reason", "compute", "compute_total", "tool_calls", "rules_active", "final_phase",
 })
 
 
@@ -190,7 +196,7 @@ class RunWriter:
                 if scenario else None
             ),
             "episode": episode.to_dict() if episode else None,
-            "transitions": [t.to_row() for t in run.transitions],
+            "transitions": [list(t) for t in run.transitions],
             "hypotheses": [h.to_dict() for h in hypotheses],
             "diagnosis_path": diagnosis.path if diagnosis else None,
             "plan": run.plan.to_dict() if run.plan else None,
@@ -269,7 +275,10 @@ def read_run(path: str | Path) -> list[dict]:
                 raise ConfigError(f"{p}:1: not an episodes file")
             if obj.get("version") != EPISODES_VERSION:
                 raise ConfigError(f"{p}:1: episodes version {obj.get('version')!r}, not {EPISODES_VERSION}")
-        elif isinstance(obj, dict) and obj.keys() == _RECORD_KEYS and isinstance(obj["row"], dict):
+        elif (
+            isinstance(obj, dict) and obj.keys() == _RECORD_KEYS
+            and isinstance(obj["row"], dict) and obj["row"].keys() == _ROW_KEYS
+        ):
             records.append(obj)
         else:
             raise ConfigError(f"{p}:{n}: not an episode record")

@@ -4,7 +4,10 @@
     opsloop replay --episodes outdir/episodes.jsonl --episode ep-0003
     opsloop export-kg --config cfg.json --out kg.tsv
 
-Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
+    PYTHONPATH=src python3 -m opsloop ...      # the same, from a checkout
+
+Exit codes: 0 success, 1 configuration or usage error or an episode that
+replay does not find, 2 runtime failure.
 """
 from __future__ import annotations
 
@@ -73,7 +76,11 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
         if args.command == "replay":
-            transcript = replay(args.episodes, args.episode)
+            try:
+                transcript = replay(args.episodes, args.episode)
+            except KeyError as exc:  # no such episode in the file
+                print(f"opsloop: not found: {exc}", file=sys.stderr)
+                return 1
             print(transcript, end="")
             return 0
         if args.command == "export-kg":
@@ -85,9 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ConfigError as exc:
         print(f"opsloop: config error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"opsloop: not found: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"opsloop: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)

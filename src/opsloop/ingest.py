@@ -42,6 +42,7 @@ from .config import (
     EVIDENCE_FLOOR_SIGMA,
     EWMA_ALPHA,
     METRICS,
+    NOISE_PCT,
     SEVERITY_BUCKETS,
     metric_sigma,
 )
@@ -172,12 +173,6 @@ def _severity_from_sigma(deviation: float, sigma: float) -> int:
     return 0
 
 
-def _sigma(metric: str, noise_pct: float | None) -> float:
-    if noise_pct is None:
-        return metric_sigma(metric)
-    return noise_pct * BASELINES[metric] / (3.0 ** 0.5)
-
-
 _BASELINE = np.array([BASELINES[m] for m in METRICS])
 _NO_CELLS = np.zeros(0, dtype=np.intp)
 _NO_CELLS.flags.writeable = False  # shared by every quiet batch
@@ -221,7 +216,7 @@ def _bands(noise_pct: float | None) -> _Bands:
     """
     if noise_pct is not None and not 0.0 < noise_pct < math.inf:
         raise ValueError(f"noise_pct must be a finite number > 0, got {noise_pct!r}")
-    sigma = [_sigma(m, noise_pct) for m in METRICS]
+    sigma = [metric_sigma(m, NOISE_PCT if noise_pct is None else noise_pct) for m in METRICS]
     stray = []
     for metric, s in zip(METRICS, sigma):
         band = DETECT_K * s

@@ -6,6 +6,11 @@ verification, logging, and periodic learning. Every component call is metered in
 once the ledger is exhausted, the very next transition must be
 budget_exceeded into the terminal Escalated state. The full transition
 history is kept as an audit log.
+
+Each episode keeps its facts in one place, the `EpisodeRun` it returns:
+its ledger, its transitions and what each phase produced. The loop keeps
+one context `BudgetPolicy` across episodes, whose section weights each
+logged outcome moves.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .cluster import ActionResult, SimError
 from .config import (
@@ -35,7 +40,6 @@ from .config import (
     PACK_BUDGET,
     RETIRE_AGE_EPISODES,
     RETIRE_CONFIDENCE_FLOOR,
-    SECTION_ORDER,
     SUBGRAPH_RADIUS,
     SYMPTOM_VOCAB,
     TARIFF_ACE_ASSEMBLY,
@@ -187,16 +191,12 @@ class BudgetLedger:
         }
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     tick: int
     phase_from: str
     event: str
     phase_to: str
     budget_total: float
-
-    def to_row(self) -> list:
-        return [self.tick, self.phase_from, self.event, self.phase_to, self.budget_total]
 
 
 @dataclass
@@ -224,18 +224,20 @@ class LoopParams:
 
 @dataclass
 class EpisodeRun:
+    """Everything one episode did; `run_episode` fills it in as it goes."""
+
     episode_id: str
-    episode: Episode | None
-    transitions: list[TransitionRecord]
     ledger: BudgetLedger
-    pack_traces: list[list[TraceEntry]]
-    diagnosis: Diagnosis | None
-    plan: ActionPlan | None
-    action_results: list[tuple[str, ActionResult]]
-    escalation_reason: str | None
-    learning: DistillReport | None
-    deferred_subtasks: list[IncidentDescriptor]
-    final_phase: str
+    episode: Episode | None = None
+    transitions: list[TransitionRecord] = field(default_factory=list)
+    pack_traces: list[list[TraceEntry]] = field(default_factory=list)
+    diagnosis: Diagnosis | None = None
+    plan: ActionPlan | None = None
+    action_results: list[tuple[str, ActionResult]] = field(default_factory=list)
+    escalation_reason: str | None = None
+    learning: DistillReport | None = None
+    deferred_subtasks: list[IncidentDescriptor] = field(default_factory=list)
+    final_phase: str = Phase.IDLE.value
 
 
 class _Stop(Exception):
@@ -264,13 +266,20 @@ def decompose(descriptor: IncidentDescriptor, kg) -> list[IncidentDescriptor]:
 
 
 class AgentLoop:
-    """Drives the full closed loop against a telemetry feed and memories."""
+    """Drives the full closed loop against a telemetry feed and memories.
+
+    `policy` is the one context budget policy of the loop: its caps are
+    `params.section_caps` laid over `DEFAULT_SECTION_CAPS`, and each logged
+    episode's outcome moves its section weights."""
 
     def __init__(self, feed: TelemetryFeed, memories: Memories, params: LoopParams):
         self.feed = feed
         self.memories = memories
         self.params = params
-        self.weights: dict[str, float] = {s: 1.0 for s in SECTION_ORDER}
+        self.policy = BudgetPolicy(
+            pack_budget=params.pack_budget,
+            section_caps={**DEFAULT_SECTION_CAPS, **(params.section_caps or {})},
+        )
         self.episode_count = 0
         self.episodes_since_learning = 0
 
@@ -330,50 +339,30 @@ class AgentLoop:
     def run_episode(self, episode_id: str) -> EpisodeRun:
         """Wait for the next incident (staying Idle if none comes in time),
         drive it to Logging or Escalated, and run the learning pass when
-        the cadence is due."""
+        the cadence is due. The wait ends at one deadline, `max_wait_ticks`
+        after the clock at the call; what the episode does is recorded in
+        the returned run as it happens."""
         params = self.params
         memories = self.memories
-        ledger = BudgetLedger(params.compute_limit, params.tool_call_limit)
-        state = OrchestratorState(
-            phase=Phase.IDLE, attempt=1,
-            escalation_after=params.escalation_after, learning_due=False,
-        )
-        transitions: list[TransitionRecord] = []
+        run = EpisodeRun(episode_id, BudgetLedger(params.compute_limit, params.tool_call_limit))
+        state = OrchestratorState(escalation_after=params.escalation_after)
 
         def fire(event: Event) -> None:
             nonlocal state
             new_state = transition(state, event)
-            transitions.append(TransitionRecord(
-                tick=self.feed.sim.tick,
-                phase_from=state.phase.value,
-                event=event.value,
-                phase_to=new_state.phase.value,
-                budget_total=ledger.total,
+            run.transitions.append(TransitionRecord(
+                self.feed.sim.tick, state.phase.value, event.value,
+                new_state.phase.value, run.ledger.total,
             ))
             state = new_state
 
         def advance(event: Event) -> None:
-            if ledger.exhausted:
+            if run.ledger.exhausted:
                 fire(Event.BUDGET_EXCEEDED)
                 if run.escalation_reason is None:
                     run.escalation_reason = "budget exhausted"
                 raise _Stop()
             fire(event)
-
-        run = EpisodeRun(
-            episode_id=episode_id,
-            episode=None,
-            transitions=transitions,
-            ledger=ledger,
-            pack_traces=[],
-            diagnosis=None,
-            plan=None,
-            action_results=[],
-            escalation_reason=None,
-            learning=None,
-            deferred_subtasks=[],
-            final_phase=Phase.IDLE.value,
-        )
 
         alerts: list[Alert] = []
         resolved = False
@@ -382,29 +371,25 @@ class AgentLoop:
         with suppress(_Stop):
             # Idle: watch the feed until the detector raises, or time out and
             # stay Idle. Windows that cannot fire are passed over, not scored.
-            waited = 0
+            deadline = self.feed.sim.tick + params.max_wait_ticks
             while not alerts:
-                if waited >= params.max_wait_ticks:
+                if self.feed.sim.tick >= deadline:
                     advance(Event.IDLE_TIMEOUT)  # Idle -> Idle
                     raise _Stop()
-                now = self.feed.sim.tick
-                tick = self.feed.quiet_until(now + params.max_wait_ticks - waited, params.noise_pct)
-                self.feed.pass_to(tick)
-                waited += tick - now
+                self.feed.pass_to(self.feed.quiet_until(deadline, params.noise_pct))
                 found = detect_anomalies(
                     self.feed.window(), noise_pct=params.noise_pct,
                     min_ticks=params.detect_window,
                 )
                 if found:
-                    ledger.charge("detector", TARIFF_DETECTOR_WINDOW)
+                    run.ledger.charge("detector", TARIFF_DETECTOR_WINDOW)
                     alerts = found
             advance(Event.ALERT_RAISED)  # Idle -> Detecting
 
             # Detecting: record alerts, pin down the incident descriptor.
             for alert in alerts:
                 memories.buffer.push(alert, priority=alert.severity, incident=episode_id)
-                ledger.charge("memory", TARIFF_MEMORY_ITEM)
-            for alert in alerts:
+                run.ledger.charge("memory", TARIFF_MEMORY_ITEM)
                 if alert.attribute == "node_decommissioned":
                     memories.kg.register_entity(alert.entity, "Node")
                     memories.kg.assert_triple(
@@ -414,7 +399,7 @@ class AgentLoop:
             top_alert = min(alerts, key=lead_alert_key)
             top_entities = sorted({a.entity for a in alerts if a.attribute == top_alert.attribute})
             services = list(dict.fromkeys(
-                self._to_service(e, ledger) for e in top_entities
+                self._to_service(e, run.ledger) for e in top_entities
             ))
             descriptor = IncidentDescriptor(
                 incident_id=episode_id,
@@ -431,25 +416,20 @@ class AgentLoop:
             advance(Event.ALERT_RAISED)  # Detecting -> Enriching
 
             # Enriching: assemble the pack.
-            policy = BudgetPolicy(
-                pack_budget=params.pack_budget,
-                section_caps={**DEFAULT_SECTION_CAPS, **(params.section_caps or {})},
-                weights=dict(self.weights),
-            )
             pack = assemble(
-                descriptor, memories, policy,
+                descriptor, memories, self.policy,
                 episodic_k=params.episodic_k,
                 subgraph_radius=params.subgraph_radius,
             )
             run.pack_traces.append(pack.trace)
-            ledger.charge("ace", TARIFF_ACE_ASSEMBLY + TARIFF_ACE_ITEM * pack.included_count)
-            ledger.charge("memory", TARIFF_MEMORY_ITEM * pack.memory_touched)
+            run.ledger.charge("ace", TARIFF_ACE_ASSEMBLY + TARIFF_ACE_ITEM * pack.included_count)
+            run.ledger.charge("memory", TARIFF_MEMORY_ITEM * pack.memory_touched)
             advance(Event.PACK_READY)  # Enriching -> Diagnosing
 
             # Diagnosing.
             diag = diagnose(pack)
             run.diagnosis = diag
-            ledger.charge("reasoner", TARIFF_REASONER_UNIT * diag.compute_units)
+            run.ledger.charge("reasoner", TARIFF_REASONER_UNIT * diag.compute_units)
             if not diag.hypotheses:
                 run.escalation_reason = "diagnosis abstained"
                 advance(Event.ABSTAIN)  # Diagnosing -> Escalated
@@ -468,7 +448,7 @@ class AgentLoop:
                     entry = plan.entry_for_attempt(state.attempt)
                     if entry is not None:
                         for action_kind, target in entry.actions:
-                            result = self._execute_action(action_kind, target, ledger)
+                            result = self._execute_action(action_kind, target, run.ledger)
                             run.action_results.append((entry.runbook_id, result))
                     advance(Event.ACTION_DONE)  # Executing -> Verifying
 
@@ -491,12 +471,8 @@ class AgentLoop:
 
         # Logging happens for every closed incident; the machine only visits
         # the Logging phase on the resolved path.
-        episode = None
         if descriptor is not None:
-            episode = self._log_episode(
-                run, descriptor, alerts, resolved, ledger,
-            )
-        run.episode = episode
+            run.episode = self._log_episode(run, descriptor, alerts, resolved)
 
         if state.phase is Phase.LOGGING:
             learning_due = self.episodes_since_learning >= params.learning_cadence
@@ -504,8 +480,7 @@ class AgentLoop:
             with suppress(_Stop):
                 advance(Event.EPISODE_LOGGED)
                 if state.phase is Phase.LEARNING:
-                    report = self._learn(ledger)
-                    run.learning = report
+                    run.learning = self._learn(run.ledger)
                     advance(Event.LEARNING_DONE)
         run.final_phase = state.phase.value
         return run
@@ -533,10 +508,8 @@ class AgentLoop:
         descriptor: IncidentDescriptor,
         alerts: list[Alert],
         resolved: bool,
-        ledger: BudgetLedger,
     ) -> Episode:
         memories = self.memories
-        params = self.params
         top = run.diagnosis.hypotheses[0] if run.diagnosis and run.diagnosis.hypotheses else None
         entities = {a.entity for a in alerts} | {descriptor.affected_service}
         if top is not None:
@@ -559,7 +532,7 @@ class AgentLoop:
             ticks_to_resolve=(end_tick - descriptor.start_tick) if resolved else None,
         )
         memories.episodic.insert(episode)
-        ledger.charge("memory", TARIFF_MEMORY_ITEM)
+        run.ledger.charge("memory", TARIFF_MEMORY_ITEM)
 
         # Runbook feedback: the final attempted runbook carries the outcome,
         # earlier attempts count as failures.
@@ -571,7 +544,7 @@ class AgentLoop:
 
         if top is not None:
             cited = {key.split(":", 1)[0] for key in top.evidence}
-            self.weights = update_weights(self.weights, cited, resolved)
+            self.policy.weights = update_weights(self.policy.weights, cited, resolved)
 
         memories.buffer.evict_incident(run.episode_id)
 
@@ -583,7 +556,7 @@ class AgentLoop:
             removed = memories.episodic.forget(
                 ForgetCriteria(entities=frozenset(dead_nodes)), now_tick=end_tick
             )
-            ledger.charge("memory", TARIFF_MEMORY_ITEM * max(removed, 1))
+            run.ledger.charge("memory", TARIFF_MEMORY_ITEM * max(removed, 1))
             lookup = {ep.episode_id: ep for ep in memories.episodic.all_episodes()}
             retire_rules(
                 memories.kg,

@@ -66,7 +66,7 @@ class ScenarioTemplate:
 class RunConfig:
     seed: int
     episodes: int
-    topology: dict
+    topology: ClusterTopology  # built and checked by `config_from_dict`
     scenario: list[ScenarioTemplate] = field(default_factory=list)
     seed_runbooks: list[dict] = field(default_factory=list)
     policies: list[dict] = field(default_factory=list)
@@ -278,7 +278,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(
         seed=seed,
         episodes=episodes,
-        topology=topology_spec,
+        topology=topology,
         scenario=scenario,
         seed_runbooks=list(raw.get("seed_runbooks", [])),
         policies=list(raw.get("policies", [])),
@@ -306,9 +306,9 @@ class RunReport:
     episode_runs: list[EpisodeRun]
 
 
-def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
+def _build_memories(config: RunConfig) -> Memories:
     kg = KnowledgeGraph(ontology=default_ontology())
-    bootstrap_from_topology(kg, topology)
+    bootstrap_from_topology(kg, config.topology)
     runbooks = RunbookStore()
     for rb in config.seed_runbooks:
         runbooks.add(Runbook(
@@ -332,9 +332,8 @@ def _build_memories(config: RunConfig, topology: ClusterTopology) -> Memories:
 
 def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     writer = RunWriter(Path(out_dir))
-    topology = build_topology(config.topology)
-    sim = ClusterSim(topology, seed=config.seed, noise_pct=config.params.noise_pct)
-    memories = _build_memories(config, topology)
+    sim = ClusterSim(config.topology, seed=config.seed, noise_pct=config.params.noise_pct)
+    memories = _build_memories(config)
     feed = TelemetryFeed(sim, window_ticks=config.params.detect_window)
     loop = AgentLoop(feed, memories, config.params)
 

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from opsloop.config import ANOMALY_ATTR, BASELINES, DETECT_K, DETECT_WINDOW, EVIDENCE_FLOOR_SIGMA, EWMA_ALPHA
-from opsloop.ingest import Alert, UnifiedRecord, _event_alerts, _severity_from_sigma, _sigma
+from opsloop.config import (
+    ANOMALY_ATTR, BASELINES, DETECT_K, DETECT_WINDOW, EVIDENCE_FLOOR_SIGMA, EWMA_ALPHA, NOISE_PCT, metric_sigma,
+)
+from opsloop.ingest import Alert, UnifiedRecord, _event_alerts, _severity_from_sigma
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -120,7 +122,7 @@ def detect_records(
         if len({r.tick for r in recs}) < min_ticks:
             continue
         baseline = BASELINES[metric]
-        sigma = _sigma(metric, noise_pct)
+        sigma = metric_sigma(metric, NOISE_PCT if noise_pct is None else noise_pct)
         ewma = baseline
         for rec in recs:
             ewma = alpha * rec.value + (1.0 - alpha) * ewma

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from opsloop.cluster import ClusterSim, FaultScenario, TickFrame, build_topology
-from opsloop.config import BASELINES, METRICS, NOISE_PCT, TARIFF_MEMORY_ITEM
-from opsloop.contextpack import IncidentDescriptor
+from opsloop.config import BASELINES, METRICS, NOISE_PCT, SECTION_ORDER, TARIFF_MEMORY_ITEM
+from opsloop.contextpack import BudgetPolicy, IncidentDescriptor, update_weights
 from opsloop.ingest import TelemetryFeed, TickBatch, UnifiedRecord
 from opsloop.memory import (
     EpisodicStore,
@@ -401,6 +401,34 @@ def test_learning_fires_on_cadence():
     assert "ill" in loop.memories.kg.export_tsv()[1] or any(
         t.provenance == "ill" for t in loop.memories.kg.query(None, "indicates", None)
     )
+
+
+def test_each_outcome_moves_the_section_caps_of_the_next_pack():
+    # Three episodes escalate on the wrong runbook alone, three resolve once
+    # the right one is added; the two tight caps bind in every pack.
+    sim, loop = make_loop([wrong_runbook()], escalation_after=1,
+                          section_caps={"short_term": 4, "kg_subgraph": 6})
+    weights = {s: 1.0 for s in SECTION_ORDER}
+    outcomes = []
+    for i in range(6):
+        if i == 3:
+            loop.memories.runbooks.add(throttle_runbook())
+        sim.inject(FaultScenario("noisy_neighbor", "n1", start_tick=sim.tick + 2,
+                                 duration=40, magnitude=0.8))
+        run = loop.run_episode(f"ep-{i + 1:04d}")
+        caps = BudgetPolicy(section_caps=loop.policy.section_caps, weights=weights)
+        packed = dict.fromkeys(SECTION_ORDER, 0)
+        for entry in run.pack_traces[0]:
+            packed[entry.section] += entry.cost if entry.included else 0
+        assert all(packed[s] <= caps.effective_cap(s) for s in SECTION_ORDER), (i, packed)
+        cited = {key.split(":", 1)[0] for key in run.diagnosis.hypotheses[0].evidence}
+        weights = update_weights(weights, cited, run.episode.resolved)
+        outcomes.append(run.episode.resolved)
+        # pass the rest of the fault so the next wait starts quiet
+        for _ in range(loop.params.detect_window + 45):
+            loop.feed.step()
+    assert outcomes == [False] * 3 + [True] * 3
+    assert loop.policy.weights == weights
 
 
 @pytest.mark.parametrize("detect_noise, fresh_feed, jumps", [

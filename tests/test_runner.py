@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -635,6 +638,12 @@ def test_replay_rejects_non_episode_files(tmp_path):
         ("list.jsonl", '["opsloop-episodes", 1]\n' + record, "list.jsonl:1: not an episodes file"),
         ("rowless.jsonl", header + "[]\n", "rowless.jsonl:2: not an episode record"),
         ("bare.jsonl", header + record, "bare.jsonl:2: not an episode record"),
+        # every record key, but a row of the episode id alone
+        ("thin.jsonl", header + json.dumps({
+            "row": {"episode_id": "ep-0001"}, "scenario": None, "episode": None,
+            "transitions": [], "hypotheses": [], "diagnosis_path": None, "plan": None,
+            "action_results": [], "ledger": None, "deferred_subtasks": [], "pack_traces": [],
+        }) + "\n", "thin.jsonl:2: not an episode record"),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -1228,3 +1237,34 @@ def test_cli_exit_code_two_for_runtime_failures(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, tiny_run_dict(episodes=1))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "runtime failure: RuntimeError: simulated fault" in capsys.readouterr().err
+
+
+def test_cli_reports_a_key_error_inside_a_run_as_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # Only `replay` reads a missing episode as "not found" (exit 1); a
+    # KeyError raised inside a run is a runtime failure like any other.
+    def fail(config, out_dir):
+        raise KeyError("svc-x")
+
+    monkeypatch.setattr("opsloop.cli.run", fail)
+    cfg_path = write_config(tmp_path, tiny_run_dict(episodes=1))
+    for command in ("run", "export-kg"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "runtime failure: KeyError: 'svc-x'" in capsys.readouterr().err
+
+
+def test_python_m_opsloop_is_the_cli(tmp_path, capsys):
+    # `python3 -m opsloop` from a checkout, with only src/ on the path.
+    cfg_path = write_config(tmp_path, tiny_run_dict(episodes=2))
+    episodes = str(tmp_path / "out" / "episodes.jsonl")
+    env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")}
+    for argv in (
+        ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        ["replay", "--episodes", episodes, "--episode", "ep-0002"],
+        ["replay", "--episodes", episodes, "--episode", "ep-7777"],
+        ["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")],
+        [],
+    ):
+        done = subprocess.run([sys.executable, "-m", "opsloop", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        code = main(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, *capsys.readouterr()), argv

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from opsloop.cluster import (
     SIM_STREAM, ClusterSim, FaultScenario, RawEvent, TelemetrySample, TickFrame, _TickNoise, build_topology,
 )
-from opsloop.config import ANOMALY_ATTR, BASELINES, DETECT_K, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind
-from opsloop.ingest import FeedWindow, TelemetryFeed, TickBatch, _bands, _sigma, detect_anomalies, normalize
+from opsloop.config import (
+    ANOMALY_ATTR, BASELINES, DETECT_K, HEADROOM, METRICS, NOISE_PCT, REMEDY, FaultKind, metric_sigma,
+)
+from opsloop.ingest import FeedWindow, TelemetryFeed, TickBatch, _bands, detect_anomalies, normalize
 from opsloop.orchestrator import AgentLoop, LoopParams
 from opsloop.reasoner import StopCondition
 
@@ -262,7 +264,7 @@ def edge_values(rng: np.random.Generator, ticks: int, entities: int, noise_pct, 
     """Samples at the levels above, each series at one level of one sign
     with probability `held` per tick, some at the stray threshold itself."""
     base = np.array([BASELINES[m] for m in METRICS])
-    band = np.array([DETECT_K * _sigma(m, noise_pct) for m in METRICS])
+    band = DETECT_K * np.array(_bands(noise_pct).sigma)
     stray = _bands(noise_pct).stray
     shape = (ticks, entities, len(METRICS))
     level = np.where(rng.random(shape) < held, rng.choice(BAND_LEVELS, size=shape[1:]),
@@ -302,7 +304,7 @@ def test_pruned_detector_matches_the_reference_at_the_band_edges(ticks, entities
 def test_a_series_just_inside_the_band_fires_only_when_scored():
     # 24 ticks at 1.05 K sigma: the EWMA ends at 1.05 (1 - 0.7**24) K
     # sigma, past the band, though no single sample is far out.
-    band = DETECT_K * _sigma("cpu_util", None)
+    band = DETECT_K * metric_sigma("cpu_util")
     values = np.full((24, 1, len(METRICS)), 0.0) + np.array([BASELINES[m] for m in METRICS])
     values[:, 0, METRICS.index("cpu_util")] += 1.05 * band
     window = frame_window(values, np.ones((24, 1), dtype=bool))
