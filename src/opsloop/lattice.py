@@ -11,31 +11,43 @@ confidence, or aged out without reconfirmation.
 Internally a context stores incidence as per-attribute and per-object
 int bitmasks. Attribute i of m sits at bit m - 1 - i, so attribute 0 is
 the lectically most significant position and lectic order is integer
-order; object i sits at bit i, so rows append. A context keeps its
-lattice once computed: the intents in ascending order, each intent's
-extent mask and the count below. Names and frozensets are built only for
-what leaves the module: `concepts()` and the rules that survive the
-thresholds.
+order; object i sits at bit i, so rows append. Names and frozensets are
+built only for what leaves the module: `concepts()` and the rules that
+survive the thresholds.
+
+A context keeps two things apart. Its lattice, once computed, is the
+intents in ascending order and their NextClosure count, and exists only
+for that count: `closure_calls` counts the candidate closures Ganter's
+NextClosure would examine to list the lattice, one per candidate
+attribute tried, and that count is a learning pass's `ill` charge.
+Mining does not read the lattice. It runs Close-by-One (Kuznetsov 1993)
+from the top concept and visits only the concepts whose extent is large
+enough to clear the support threshold, which in a learning pass are a
+handful of the hundreds of intents. Both exist because the `ill` charge
+is NextClosure's count over the whole lattice and the run's artifacts
+record it: charging the search's own candidates instead would drop the
+lattice but change those bytes.
 
 Insertion builds every lattice, the way Godin, Missaoui & Alaoui (1995)
 add an object. A context's lattice starts as the lattice of no objects,
-the full attribute set alone, and takes each row in object order. A row
-meets every intent, and the intents inside it gain the object; a row the
-lattice already holds is met only by those, so it joins the extents of
-the intents inside it, found by walking its submasks rather than scanning
-every intent, and adds none. Between learning passes the history only
-grows, so `context_from_episodes` extends the last context it built and
-moves that context's lattice into the new one, inserting only the new
-rows; most of them recur, and cost what the intents inside them do.
+the full attribute set alone, and takes each row in object order. The
+new intents are the intersections of the row with the old intents that
+are not intents already; a row the lattice already holds adds none and
+costs one set lookup. Between learning passes the history only grows, so
+`context_from_episodes` extends the last context it built and moves that
+context's lattice into the new one, inserting only the new rows; most of
+them recur. The count follows from the intents alone: from intent A,
+NextClosure tries every attribute outside A at or above the lowest index
+where A and its lectic successor differ, which is their highest
+differing bit. So insertion keeps the count summed over lectic
+neighbours, without running NextClosure.
 
-NextClosure only defines the count. `closure_calls` counts the candidate
-closures Ganter's NextClosure would examine to list the lattice, one per
-candidate attribute tried, and that count is a learning pass's `ill`
-charge. It follows from the lattice alone: from intent A, NextClosure
-tries every attribute outside A at or above the lowest index where A and
-its lectic successor differ, which is their highest differing bit. So
-insertion keeps the count summed over lectic neighbours, without running
-NextClosure.
+The search carries, at each concept, the attributes that can still
+extend it with an extent that clears the cut, each with that extent, as
+In-Close does (Andrews 2009): a child's extent is one AND, and an
+attribute whose extent falls below the cut cannot hold a frequent
+extent, so canonicity and closure are tested against frequent attributes
+only.
 """
 from __future__ import annotations
 
@@ -84,12 +96,6 @@ def _selected(names: tuple[str, ...], mask: int) -> Iterator[str]:
     return compress(names, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
 
 
-# One step of a submask walk costs about this many steps of a scan over
-# the intents: on learn_noisy lattices of 245 to 745 intents, 155-210 ns
-# a submask against 80-115 ns an intent (CPython 3.11, a Xeon vCPU).
-_SUBMASK_COST = 1.5
-
-
 def _tries(a: int, b: int) -> int:
     """The candidates NextClosure tries from intent `a` to reach its lectic
     successor `b`: the attributes outside `a` at or above the lowest index
@@ -100,13 +106,12 @@ def _tries(a: int, b: int) -> int:
 
 @dataclass
 class _Lattice:
-    """A context's concepts: the intents in ascending (lectic) order, the
-    extent mask of each, and the candidates NextClosure tries to list
-    them; and the mask of the outcome labels, which holds while the
-    attributes do."""
+    """A context's intents in ascending (lectic) order, the same intents
+    as a set, and the candidates NextClosure tries to list them; and the
+    mask of the outcome labels, which holds while the attributes do."""
 
     intents: list[int]
-    extents: dict[int, int]
+    known: set[int]
     closure_calls: int
     outcome: int
 
@@ -230,55 +235,26 @@ class FormalContext:
             # The lattice of no objects: the full set, one closure to reach.
             full = self._all_attrs
             outcome = self._attr_mask(a for a in self.attributes if is_outcome_label(a))
-            lattice = self._lattice = _Lattice([full], {full: 0}, 1, outcome)
-            for oi, row in enumerate(self._obj_intents):
-                self._insert(1 << oi, row)
+            lattice = self._lattice = _Lattice([full], {full}, 1, outcome)
+            for row in self._obj_intents:
+                self._insert(row)
         self.closure_calls += lattice.closure_calls
         return lattice
 
-    def _concept_masks(self) -> list[tuple[int, int]]:
-        """(extent, intent) masks of all concepts, intents in ascending
-        order."""
-        lattice = self._listed_lattice()
-        extents = lattice.extents
-        return [(extents[intent], intent) for intent in lattice.intents]
-
-    def _meets(self, row: int) -> set[int]:
-        """The intersections of every intent with `row`. When `row` is
-        itself an intent they are exactly the intents inside it, since
-        intents are closed under intersection, and an intent J inside `row`
-        is J & row; so a closed row with few enough submasks walks them and
-        keeps the intents, and any other row scans every intent."""
-        extents = self._lattice.extents
-        if row in extents and (1 << row.bit_count()) * _SUBMASK_COST < len(extents):
-            meets = set()
-            sub = row
-            while True:
-                if sub in extents:
-                    meets.add(sub)
-                if not sub:
-                    return meets
-                sub = (sub - 1) & row
-        return {intent & row for intent in self._lattice.intents}
-
-    def _insert(self, bit: int, row: int) -> None:
-        """Add the object `bit` with intent `row` to the lattice (Godin's
-        insertion); the attribute extents already hold it. The intents
-        inside `row` are the old intents among the intersections of each
-        intent with `row`, and they gain the object. A row the lattice
-        already holds meets only those, and joins their extents. The other
-        intersections become intents, each placed in order, and the count
-        trades its neighbours' term for the two through it. A fresh build
-        inserts into a context that already holds every row, so each new
-        extent is final when it is made and the later bits it gains are
-        already set."""
+    def _insert(self, row: int) -> None:
+        """Add an object with intent `row` to the lattice (Godin's
+        insertion). The new intents are the intersections of each intent
+        with `row` that are not intents yet; a row that is an intent
+        already adds none, since intents are closed under intersection.
+        Each new intent is placed in order, and the count trades its
+        neighbours' term for the two through it."""
         lattice = self._lattice
-        intents, extents = lattice.intents, lattice.extents
-        for intent in self._meets(row):
-            if intent in extents:
-                extents[intent] |= bit
-                continue
-            extents[intent] = self._extent_mask(intent)
+        known = lattice.known
+        if row in known:
+            return
+        intents = lattice.intents
+        for intent in {intent & row for intent in intents}.difference(known):
+            known.add(intent)
             i = bisect.bisect(intents, intent)
             after = intents[i]  # never past the end: the full set is last
             calls = _tries(intent, after)
@@ -312,7 +288,7 @@ class FormalContext:
                 new._attr_extents[b] |= bit
             new._all_objects |= bit
             if new._lattice is not None:
-                new._insert(bit, row)
+                new._insert(row)
         return new
 
     def concepts(self) -> list[Concept]:
@@ -322,9 +298,29 @@ class FormalContext:
         attribute, the bottom concept (full attribute set, possibly empty
         extent)."""
         return [
-            Concept(extent=self._objs_from_mask(extent), intent=self._attrs_from_mask(intent))
-            for extent, intent in self._concept_masks()
+            Concept(extent=self._objs_from_mask(self._extent_mask(intent)),
+                    intent=self._attrs_from_mask(intent))
+            for intent in self._listed_lattice().intents
         ]
+
+    def _frequent(self, cut: int) -> list[tuple[int, int]]:
+        """(extent, intent) masks of the concepts whose extent holds at least
+        `cut` objects, found by Close-by-One from the top concept (module
+        docstring); none when there are fewer than `cut` objects."""
+        top = self._all_objects
+        if top.bit_count() < cut:
+            return []
+        intent = 0
+        candidates = []  # (attribute bit, its extent), in attribute order
+        for b in range(len(self.attributes) - 1, -1, -1):
+            extent = self._attr_extents[b]
+            if extent == top:
+                intent |= 1 << b
+            elif extent.bit_count() >= cut:
+                candidates.append((1 << b, extent))
+        found = [(top, intent)]
+        _close_by_one(found, intent, [], candidates, cut)
+        return found
 
     def meet(self, a: Concept, b: Concept) -> Concept:
         intent = self._closure_mask(self._attr_mask(a.intent | b.intent))
@@ -371,6 +367,38 @@ class FormalContext:
                 elif cell != "0":
                     raise ContextError(f"cell must be 0 or 1, got {cell!r}")
         return cls(objects, attributes, incidence)
+
+
+def _close_by_one(found: list[tuple[int, int]], intent: int, earlier: list[int],
+                  candidates: list[tuple[int, int]], cut: int) -> None:
+    """Append to `found` the frequent concepts below the concept with
+    `intent` that Close-by-One generates from it. `candidates` are the
+    attributes after this concept's own and outside its intent, as (bit,
+    extent within this concept's extent), and `earlier` the extents within
+    it of the attributes before its own and outside its intent; both keep
+    only extents of at least `cut` objects. Any attribute whose extent
+    contains a frequent child's is among them, so a child is canonical
+    when no extent of `earlier` contains its own, and its intent adds the
+    later candidates that do. `earlier` gains each candidate in turn."""
+    for i, (bit, extent) in enumerate(candidates):
+        for other in earlier:
+            if other & extent == extent:
+                break  # not canonical: an earlier attribute closes it
+        else:
+            closed = intent | bit
+            later = []
+            for b, other in candidates[i + 1:]:
+                other &= extent
+                if other == extent:
+                    closed |= b
+                elif other.bit_count() >= cut:
+                    later.append((b, other))
+            found.append((extent, closed))
+            if later:
+                _close_by_one(found, closed, [
+                    within for other in earlier if (within := other & extent).bit_count() >= cut
+                ], later, cut)
+        earlier.append(extent)
 
 
 def _episode_row(ep, vocab_set: set[str]) -> set[str]:
@@ -502,22 +530,18 @@ def mine_rules(
     are nonempty and support |ext(I)|/n and confidence |ext(I)|/|ext(A)|
     clear the thresholds. Counting is exact.
 
-    One scan reads every intent, and first cuts on the extent's size: the
-    least nonzero count c with c / n >= min_support, found by that same
-    float test, so the cut keeps exactly the intents whose support clears
-    it. Each call adds the lattice's NextClosure count to
-    `closure_calls`."""
+    Only concepts whose extent holds at least the cut are read: the least
+    nonzero count c with c / n >= min_support, found by that same float
+    test, so the cut keeps exactly the intents whose support clears it.
+    Each call adds the lattice's NextClosure count to `closure_calls`."""
     n = len(context.objects)
     if n == 0:
         return []
-    lattice = context._listed_lattice()
-    outcome = lattice.outcome
+    outcome = context._listed_lattice().outcome
     cut = bisect.bisect_left(range(1, n + 1), min_support, key=lambda c: c / n) + 1
     rules: dict[str, Rule] = {}
-    for intent, extent in lattice.extents.items():
+    for extent, intent in context._frequent(cut):
         full_count = extent.bit_count()
-        if full_count < cut:
-            continue
         ante_mask = intent & ~outcome
         cons_mask = intent & outcome
         if not ante_mask or not cons_mask:
@@ -576,7 +600,7 @@ def check_consistency(
             ep = episodes.get(episode_id)
             if ep is None:
                 return ConsistencyResult(False, f"provenance episode {episode_id!r} unknown")
-            if decommissioned and ep.entities & decommissioned:
+            if not ep.entities.isdisjoint(decommissioned):
                 return ConsistencyResult(
                     False, f"provenance episode {episode_id!r} references decommissioned hardware"
                 )

@@ -5,7 +5,8 @@ classes) before being stored; rejected triples never enter the graph, so
 the store is sound by construction and `validate_all` re-proves it on
 demand. Triples are append-only, so one incidence index (entity -> the
 triples that touch it), filled on assert, is never invalidated; queries
-with a bound subject or object read it instead of scanning the graph.
+with a bound subject or object read it instead of scanning the graph. The
+set of decommissioned nodes is kept the same way.
 
 Subgraph extraction and predicate-only queries read a rank view instead:
 arrays over the triples in append order holding each one's subject and
@@ -199,6 +200,9 @@ class KnowledgeGraph:
     # as the graph, and this cache, live.
     assembly_cache: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # The subjects of the `decommissioned` triples, grown on assert.
+    _decommissioned: frozenset[str] = field(
+        default=frozenset(), init=False, repr=False, compare=False)
 
     # -- entities -------------------------------------------------------------
 
@@ -255,6 +259,8 @@ class KnowledgeGraph:
         self._incident.setdefault(subject, []).append(t)
         if obj != subject:
             self._incident.setdefault(obj, []).append(t)
+        if predicate == "decommissioned":
+            self._decommissioned |= {subject}
         return _ADDED
 
     def query(
@@ -323,7 +329,7 @@ class KnowledgeGraph:
     # -- decommissioning -------------------------------------------------------
 
     def decommissioned_entities(self) -> frozenset[str]:
-        return frozenset(t.subject for t in self.query(None, "decommissioned", None))
+        return self._decommissioned
 
     # -- audit -------------------------------------------------------------------
 

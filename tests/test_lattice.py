@@ -1,5 +1,6 @@
 """Concept lattice: derivation laws, the lattice built by object insertion
-(checked against a textbook NextClosure), incremental passes, rule lifecycle.
+(checked against a textbook NextClosure), the frequent-concept search,
+incremental passes, rule lifecycle.
 
 Oracles here are independent of the implementation: concepts come from a
 power-set sweep that closes every attribute subset, order is checked with a
@@ -12,7 +13,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opsloop import lattice as lattice_module
 from opsloop.config import is_outcome_label
@@ -505,6 +506,35 @@ def test_mask_native_mining_matches_frozenset_references(context, min_s, min_c):
     assert mined == reference_mine_rules(ctx, min_s, min_c)
 
 
+@st.composite
+def small_contexts(draw):
+    """Up to 12 objects over up to 7 attributes; the attributes in `common`
+    are every object's, so the top intent is often not empty."""
+    attributes = [f"a{j}" for j in range(draw(st.integers(0, 7)))]
+    objects = [f"o{i}" for i in range(draw(st.integers(0, 12)))]
+    common = draw(st.sets(st.sampled_from(attributes))) if attributes else set()
+    incidence = [(o, a) for o in objects for a in attributes if a in common or draw(st.booleans())]
+    return objects, attributes, incidence
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_contexts())
+@example(([], [], []))
+@example(([], ["a0", "a1"], []))
+@example((["o0", "o1"], ["a0", "a1"], [("o0", "a0"), ("o1", "a0"), ("o0", "a1")]))
+def test_frequent_concepts_are_the_brute_force_concepts_that_clear_the_cut(context):
+    """`_frequent(cut)` lists each concept whose extent holds at least `cut`
+    objects exactly once, at every cut from 0 to n + 1."""
+    objects, attributes, incidence = context
+    ctx = FormalContext(objects, attributes, incidence)
+    concepts = brute_concepts(objects, attributes, incidence)
+    for cut in range(len(objects) + 2):
+        found = [Concept(extent=ctx._objs_from_mask(extent), intent=ctx._attrs_from_mask(intent))
+                 for extent, intent in ctx._frequent(cut)]
+        assert len(found) == len(set(found))
+        assert set(found) == {c for c in concepts if len(c.extent) >= cut}
+
+
 # -- incremental passes ------------------------------------------------------------------
 
 BASE_SYMPTOMS = ("cpu_high", "disk_high", "latency_high", "dns_error")
@@ -683,26 +713,28 @@ def recurring_chunks(draw):
 def test_every_insert_leaves_the_textbook_lattice_of_the_rows_so_far(payload, mine):
     """After every insert, in fresh builds and in chains of `_extended`,
     with the lattice mined or not: the intents in lectic order, which is
-    ascending integer order, and the closure count are NextClosure's over
-    the rows inserted so far, and every extent holds exactly those of the
-    rows that have its intent (a fresh build's may hold later rows too)."""
+    ascending integer order, their set, and the closure count are
+    NextClosure's over the rows inserted so far, which are the context's
+    first rows in object order."""
     attributes, chunks = payload
     insert = FormalContext._insert
+    # id of a lattice -> (the lattice, kept alive so that no other takes
+    # its id, and its rows so far)
+    inserted: dict[int, tuple] = {}
 
-    def checked(ctx, bit, row):
+    def checked(ctx, row):
         lattice = ctx._lattice
-        insert(ctx, bit, row)
-        objects = ctx.objects[:bit.bit_length()]
-        rows = {o: ctx._attrs_from_mask(ctx._obj_intents[i]) for i, o in enumerate(objects)}
+        insert(ctx, row)
+        rows_so_far = inserted.setdefault(id(lattice), (lattice, []))[1]
+        rows_so_far.append(row)
+        assert ctx._obj_intents[:len(rows_so_far)] == rows_so_far
+        objects = ctx.objects[:len(rows_so_far)]
+        rows = {o: ctx._attrs_from_mask(r) for o, r in zip(objects, rows_so_far)}
         intents, calls = textbook_next_closure(objects, list(attributes), rows)
         assert [ctx._attrs_from_mask(i) for i in lattice.intents] == intents
         assert lattice.closure_calls == calls
         assert all(map(operator.lt, lattice.intents, lattice.intents[1:]))
-        assert len(lattice.extents) == len(intents)
-        so_far = bit | (bit - 1)
-        for intent in lattice.intents:
-            extent = ctx._objs_from_mask(lattice.extents[intent] & so_far)
-            assert extent == {o for o in objects if ctx._attrs_from_mask(intent) <= rows[o]}
+        assert lattice.known == set(lattice.intents)
 
     serial = iter(range(10_000))
     ctx = None
@@ -730,6 +762,8 @@ class _Unscanned(list):
 
 
 def test_a_closed_narrow_row_never_scans_the_intents():
+    """A row the lattice already holds leaves the intents, their set and
+    the count as they were, and reads no intent."""
     rng = random.Random(0)
     attributes = [f"a{j}" for j in range(8)]
     rows = {f"o{i:02d}": rng.getrandbits(8) & rng.getrandbits(8) for i in range(24)}
@@ -737,21 +771,18 @@ def test_a_closed_narrow_row_never_scans_the_intents():
         (o, a) for o, row in rows.items() for j, a in enumerate(reversed(attributes)) if row >> j & 1])
     mine_rules(ctx)  # builds the lattice
     lattice = ctx._lattice
-    closed = next(row for row in rows.values() if row.bit_count() == 3)  # an object's intent
-    assert (1 << 3) * 2 < len(lattice.intents)
-    extents, calls = dict(lattice.extents), lattice.closure_calls
+    intents, calls = list(lattice.intents), lattice.closure_calls
     lattice.intents = _Unscanned(lattice.intents)
-    grown = ctx._extended({"o24": closed})
-    lattice = grown._lattice
-    assert lattice.closure_calls == calls and lattice.extents.keys() == extents.keys()
-    inside = {i for i in extents if i & closed == i}
-    for intent, extent in lattice.extents.items():
-        assert extent == extents[intent] | (1 << 24 if intent in inside else 0)
-    assert list.__iter__(lattice.intents) is not None
-    # A row the lattice does not hold still meets every intent.
-    fresh = next(m for m in range(256) if m not in extents and m.bit_count() == 3)
+    # An object's intent, and an intent that no object has.
+    for closed in (rows["o05"], next(i for i in intents if i not in rows.values())):
+        ctx = ctx._extended({f"o{len(ctx.objects)}": closed})
+        lattice = ctx._lattice
+        assert list(list.__iter__(lattice.intents)) == intents
+        assert lattice.known == set(intents) and lattice.closure_calls == calls
+    # A row the lattice does not hold meets every intent.
+    fresh = next(m for m in range(256) if m not in lattice.known)
     with pytest.raises(AssertionError, match="scanned every intent"):
-        grown._extended({"o25": fresh})
+        ctx._extended({"o99": fresh})
 
 
 def test_mine_rules_empty_context():

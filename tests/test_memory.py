@@ -590,6 +590,27 @@ def test_reads_between_asserts_equal_the_references(script, data):
                 (t for t in kept.values() if t.predicate == predicate), key=Triple.key)
 
 
+@st.composite
+def decommission_scripts(draw):
+    """Triple scripts with decommission asserts put in anywhere: of
+    registered nodes, often more than once, of an unregistered node and of
+    entities of other classes; the last two are rejected."""
+    script = draw(triple_scripts())
+    subjects = st.sampled_from([*_POOL["Node"], *_POOL["Node"], "ghost", *_ENTITIES])
+    for _ in range(draw(st.integers(0, 8))):
+        triple = (draw(subjects), "decommissioned", draw(st.sampled_from(_LITERALS)))
+        script.insert(draw(st.integers(0, len(script))), triple)
+    return script
+
+
+@settings(max_examples=60, deadline=None)
+@given(decommission_scripts())
+def test_the_decommissioned_set_is_the_subjects_of_decommissioned_triples(script):
+    for kg, _kept in _asserting(script):
+        assert kg.decommissioned_entities() == frozenset(
+            t.subject for t in kg.query(None, "decommissioned", None))
+
+
 def _reference_callers(edges, service: str) -> set[str]:
     """Every service with a call path into `service`, one set-wide sweep per hop."""
     found: set[str] = set()
